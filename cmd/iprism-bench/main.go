@@ -48,13 +48,11 @@ type report struct {
 	NumCPU    int    `json:"num_cpu"`
 
 	Config struct {
-		STIIters        int   `json:"sti_iters"`
-		STIWorkers      int   `json:"sti_workers"`
-		SharedExpansion bool  `json:"shared_expansion"`
-		Episodes        int   `json:"episodes"`
-		Seed            int64 `json:"seed"`
-		TrainEpisodes   int   `json:"train_episodes"`
-		TrainWorkers    int   `json:"train_workers"`
+		STIIters      int   `json:"sti_iters"`
+		Episodes      int   `json:"episodes"`
+		Seed          int64 `json:"seed"`
+		TrainEpisodes int   `json:"train_episodes"`
+		TrainWorkers  int   `json:"train_workers"`
 	} `json:"config"`
 
 	// Workloads holds wall-clock totals per workload; the per-operation
@@ -77,8 +75,6 @@ func run() error {
 		seed       = flag.Int64("seed", 2024, "scenario generation seed")
 		trainEps   = flag.Int("train-episodes", 12, "SMC training episodes for the smc_train workload")
 		trainWork  = flag.Int("train-workers", 0, "episode workers for the smc_train workload (0 = GOMAXPROCS)")
-		workers    = flag.Int("sti-workers", 0, "STI counterfactual fan-out width (0 = GOMAXPROCS, 1 = serial)")
-		shared     = flag.Bool("shared", true, "evaluate STI with the shared-expansion counterfactual engine (false = legacy per-actor tubes)")
 		outDir     = flag.String("o", ".", "directory for the BENCH_<date>.json snapshot")
 		telAddr    = flag.String("telemetry", "", "additionally serve expvar and pprof on this address while benchmarking")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
@@ -120,7 +116,7 @@ func run() error {
 	// "sti.evaluate.seconds" histogram mixes every Evaluate call in the run,
 	// so each workload also records its own distribution under
 	// "bench.<workload>.seconds". cmd/iprism-benchdiff gates the dense
-	// twelve-actor one — the workload the shared-expansion engine targets.
+	// twelve-actor one — the workload the shared expansion targets.
 	var (
 		histFull3    = telemetry.NewHistogram("bench.sti_evaluate_full.seconds", telemetry.LatencyBuckets())
 		histFull6    = telemetry.NewHistogram("bench.sti_evaluate_full_6actor.seconds", telemetry.LatencyBuckets())
@@ -131,12 +127,10 @@ func run() error {
 
 	// Workload 1: STI evaluation on the canonical three-actor straight-road
 	// scene (mirrors BenchmarkSTIEvaluation / BenchmarkEvaluateCombined).
-	eval, err := sti.NewEvaluatorOptions(reach.DefaultConfig(), sti.Options{Workers: *workers, SharedExpansion: *shared})
+	eval, err := sti.NewEvaluator(reach.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	rep.Config.STIWorkers = eval.Workers()
-	rep.Config.SharedExpansion = eval.SharedExpansion()
 	road := roadmap.MustStraightRoad(2, 3.5, -100, 1000)
 	actors := []*actor.Actor{
 		actor.NewVehicle(1, vehicle.State{Pos: geom.V(14, 1.75), Speed: 3}),
@@ -178,11 +172,11 @@ func run() error {
 	rep.Workloads["sti_evaluate_full_6actor"] = timed(*stiIters, time.Since(start))
 
 	// Workload 1c: the dense twelve-actor scene (mirrors
-	// BenchmarkEvaluateDense12*): a fast ego rolling up on two ranks of slow
+	// BenchmarkEvaluateDense12): a fast ego rolling up on two ranks of slow
 	// traffic across three lanes with fast vehicles closing from behind, so
 	// ~6 actors genuinely carve the reach-tube. This is the workload class
-	// where the legacy path pays a near-full-size counterfactual tube per
-	// blocker and the shared expansion covers the union once.
+	// where a per-actor evaluation pays a near-full-size counterfactual tube
+	// per blocker and the shared expansion covers the union once.
 	denseRoad := roadmap.MustStraightRoad(3, 3.5, -100, 1000)
 	denseEgo := vehicle.State{Pos: geom.V(0, 5.25), Speed: 12}
 	dense12 := []*actor.Actor{
@@ -271,7 +265,7 @@ func run() error {
 		{"sti_evaluate_session12", true, histSession12},
 		{"sti_evaluate_session12_cold", false, histSession12Cold},
 	} {
-		sessEval, err := sti.NewEvaluatorOptions(sessCfg, sti.Options{Workers: 1, SharedExpansion: true, WarmStart: wl.warm})
+		sessEval, err := sti.NewEvaluator(sessCfg)
 		if err != nil {
 			return err
 		}
@@ -305,7 +299,7 @@ func run() error {
 	rep.Workloads["sim_episodes"] = timed(steps, time.Since(start))
 
 	// Workload 3: SMC training as a standing workload — a fixed-seed,
-	// fixed-budget run over two ghost cut-in scenarios on the shared-
+	// fixed-budget run over two ghost cut-in scenarios on the shared
 	// expansion evaluator. The gated numbers are the episodes/sec gauge
 	// (higher is better) and the per-episode wall p95 ("smc.episode.seconds"
 	// — this process trains nowhere else, so the process-wide histogram is

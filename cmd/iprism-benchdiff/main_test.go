@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -161,5 +162,29 @@ func TestDiffGaugeGateVerdicts(t *testing.T) {
 				t.Errorf("diff failed=%v, want %v", got, tc.fail)
 			}
 		})
+	}
+}
+
+// Every committed snapshot must still load and carry metrics: the report
+// writers drop and add config fields over time (the engine options left
+// the bench and loadgen configs), and the gate has to keep reading the
+// whole history.
+func TestLoadCommittedSnapshots(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json snapshots at the repository root")
+	}
+	for _, p := range paths {
+		s, err := load(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if len(s.Telemetry.Histograms) == 0 {
+			t.Errorf("%s (kind %s): no latency histograms decoded", p, s.Kind)
+		}
 	}
 }

@@ -68,9 +68,6 @@ type report struct {
 		Batch       int    `json:"batch"`
 		RPS         int    `json:"rps"`
 		SelfServe   bool   `json:"self_serve"`
-		// SharedExpansion records the self-serve server's engine choice;
-		// false for -target runs, whose server config is not observable.
-		SharedExpansion bool `json:"shared_expansion"`
 	} `json:"config"`
 
 	Results struct {
@@ -108,8 +105,7 @@ func run() error {
 		minRate     = flag.Float64("min-rate", 0, "fail if scored scenes/sec falls below this (0 = off)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
 		topSlow     = flag.Int("slowest", 5, "slowest requests to report with their trace IDs (0 = off)")
-		shared      = flag.Bool("shared-expansion", true, "self-serve server scores with the shared-expansion engine (false = legacy per-actor tubes)")
-		warm        = flag.Bool("warm", true, "self-serve server warm-starts session scoring across ticks (needs -shared-expansion; stateless scoring is unaffected)")
+		warm        = flag.Bool("warm", true, "self-serve server warm-starts session scoring across ticks (stateless scoring is unaffected)")
 		outDir      = flag.String("o", "", "directory for a BENCH_serve_<date>.json snapshot (empty = skip)")
 
 		sessionReplay = flag.Bool("session-replay", false, "replay recorded stop-and-go session traces tick by tick through /v1/sessions observe instead of stateless scoring")
@@ -174,7 +170,7 @@ func run() error {
 
 	base := *target
 	if *selfServe {
-		srv, err := server.New(server.Config{RequestTimeout: *timeout, SharedExpansion: *shared, WarmStart: *warm})
+		srv, err := server.New(server.Config{RequestTimeout: *timeout, WarmStart: *warm})
 		if err != nil {
 			return err
 		}
@@ -204,7 +200,7 @@ func run() error {
 			duration:    *duration,
 			timeout:     *timeout,
 			minRate:     *minRate,
-			warm:        *selfServe && *shared && *warm,
+			warm:        *selfServe && *warm,
 			selfServe:   *selfServe,
 			outDir:      *outDir,
 		})
@@ -310,7 +306,6 @@ func run() error {
 		rep.Config.Batch = perReq
 		rep.Config.RPS = *rps
 		rep.Config.SelfServe = *selfServe
-		rep.Config.SharedExpansion = *selfServe && *shared
 		rep.Results.OK = ok
 		rep.Results.Rejected = rejected
 		rep.Results.Errors = errs

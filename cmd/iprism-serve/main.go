@@ -38,8 +38,7 @@ func main() {
 		journal    = flag.String("journal", "", "append JSONL telemetry events (including per-request wide events) to this file")
 		journalMax = flag.Int64("journal-max-bytes", 64<<20, "rotate the journal to <path>.1 past this size (0 = unbounded)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown budget before connections are force-closed")
-		shared     = flag.Bool("shared-expansion", true, "score with the shared-expansion counterfactual engine (false = legacy per-actor tubes)")
-		warm       = flag.Bool("warm", true, "warm-start session scoring from the previous tick's expansion (requires -shared-expansion)")
+		warm       = flag.Bool("warm", true, "warm-start session scoring from the previous tick's expansion (false = score every tick cold, no per-session memo)")
 		sloAvail   = flag.Float64("slo-availability", 0.999, "availability objective: fraction of requests answered without server error")
 		sloLat     = flag.Float64("slo-latency", 0.99, "latency objective: fraction of requests answered within -slo-latency-target")
 		sloLatTgt  = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency threshold backing the latency SLO")
@@ -67,7 +66,6 @@ func main() {
 		RequestTimeout:     *timeout,
 		BatchMax:           *batchMax,
 		MaxSessions:        *sessions,
-		SharedExpansion:    *shared,
 		WarmStart:          *warm,
 		SLOAvailability:    *sloAvail,
 		SLOLatency:         *sloLat,

@@ -77,13 +77,7 @@ func (o Options) smcConfig(useSTI bool, seed int64) smc.Config {
 	return cfg
 }
 
-// stiEvaluator constructs an evaluator from the options. Experiments
-// parallelise at the episode/trace level via o.Workers, so the evaluator's
-// inner counterfactual fan-out is pinned to one worker — total concurrency
-// stays bounded by o.Workers instead of multiplying with it. The shared-
-// expansion engine is on: results are bitwise-identical to the legacy
-// per-actor path (the Shared/MaskGrid differential suites) and dense scenes
-// evaluate superlinearly faster.
+// stiEvaluator constructs an evaluator from the options.
 func stiEvaluator(o Options) (*sti.Evaluator, error) {
-	return sti.NewEvaluatorOptions(o.Reach, sti.Options{Workers: 1, SharedExpansion: true})
+	return sti.NewEvaluator(o.Reach)
 }

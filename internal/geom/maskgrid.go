@@ -1,7 +1,7 @@
 package geom
 
 // MaskGrid is an OccupancyGrid whose cells carry a world mask instead of a
-// single occupied bit. The shared-expansion counterfactual engine (package
+// single occupied bit. The shared expansion counterfactual engine (package
 // reach) uses one MaskGrid to measure every reach-tube volume in a single
 // pass: bit w of a cell's mask records that the cell was traversed by a
 // state surviving in counterfactual world w, so the per-world cell count —

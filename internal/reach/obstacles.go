@@ -150,6 +150,12 @@ func (o *Obstacles) maskHitsSeg(b *geom.PreparedBox, slice int, possible []uint6
 	return true
 }
 
+// slicePair returns the two obstacle slices a sweep entering slice tests —
+// slice and slice+1, each clamped to the horizon.
+func (o *Obstacles) slicePair(slice int) (int, int) {
+	return min(slice, o.numSlices), min(slice+1, o.numSlices)
+}
+
 // activeInto appends to act the actors whose footprint during slice s or
 // s+1 could intersect an ego footprint inside the window [min, max], judged
 // by AABB overlap. The shared expansion derives the window from the
@@ -158,14 +164,7 @@ func (o *Obstacles) maskHitsSeg(b *geom.PreparedBox, slice int, possible []uint6
 // The filter is conservative: a rejected actor's AABB is disjoint from every
 // footprint the slice can produce, so it cannot change any verdict.
 func (o *Obstacles) activeInto(act []int32, min, max geom.Vec2, slice int) []int32 {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
+	s0, s1 := o.slicePair(slice)
 	for i := range o.boxes {
 		a := &o.boxes[i][s0]
 		if a.Min.X <= max.X && min.X <= a.Max.X && a.Min.Y <= max.Y && min.Y <= a.Max.Y {
@@ -189,14 +188,7 @@ func (o *Obstacles) activeInto(act []int32, min, max geom.Vec2, slice int) []int
 // one preserves every per-world verdict. Single-word variant;
 // maskHitsPathSeg is the segmented analogue.
 func (o *Obstacles) maskHitsPath(b *geom.PreparedBox, slice int, possible uint64, act []int32) uint64 {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
+	s0, s1 := o.slicePair(slice)
 	for _, i := range act {
 		bs := o.boxes[i]
 		a := &bs[s0]
@@ -220,14 +212,7 @@ func (o *Obstacles) maskHitsPath(b *geom.PreparedBox, slice int, possible uint64
 // maskHitsPathSeg is maskHitsPath over a segmented possible-world mask,
 // mutated in place. It reports whether any world survives the sweep.
 func (o *Obstacles) maskHitsPathSeg(b *geom.PreparedBox, slice int, possible []uint64, act []int32) bool {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
+	s0, s1 := o.slicePair(slice)
 	for _, i := range act {
 		bs := o.boxes[i]
 		a := &bs[s0]

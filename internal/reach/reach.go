@@ -282,9 +282,9 @@ func (ks *keySet) grow() {
 
 // Scratch holds the reusable allocations of a reach-tube computation: the
 // frontier/next state slices, the per-slice dedup map and the occupancy
-// grid. A Scratch amortises the GC churn of the N+2 tube computations per
-// STI evaluation; sti.Evaluator pools one per worker. A Scratch must not be
-// used by two computations concurrently. The zero value is not usable;
+// grid. A Scratch amortises the GC churn of the tube computations of an STI
+// evaluation; sti.Evaluator pools them. A Scratch must not be used by two
+// computations concurrently. The zero value is not usable;
 // construct with NewScratch.
 type Scratch struct {
 	frontier []vehicle.State
@@ -293,7 +293,7 @@ type Scratch struct {
 	grid     *geom.OccupancyGrid
 
 	// Shared-expansion working memory (ComputeCounterfactuals); allocated
-	// lazily on first shared use so legacy-only scratches stay slim.
+	// lazily on first shared use so tube-only scratches stay slim.
 	mfrontier []maskedState
 	mnext     []maskedState
 	claimed   *maskedKeySet
@@ -304,7 +304,7 @@ type Scratch struct {
 
 	// Segmented-mask working memory (64+-actor scenes): struct-of-arrays
 	// frontier (states plus a flat stride-words mask arena) and the
-	// per-slice word buffers of computeSegmented.
+	// per-slice word buffers of warmSegmented.
 	sfstates []vehicle.State
 	sfmasks  []uint64
 	snstates []vehicle.State
@@ -338,9 +338,9 @@ func (s *Scratch) reset(cellSize float64) {
 	}
 }
 
-// resetShared readies the shared-expansion working memory for a
+// resetShared readies the shared expansion working memory for a
 // ComputeCounterfactuals call with numWorlds counterfactual worlds packed
-// into `words` 64-bit mask words (1 selects the single-word fast path).
+// into `words` 64-bit mask words (1 selects the single-word loop).
 func (s *Scratch) resetShared(cellSize float64, numWorlds, words int) {
 	if words == 1 {
 		if s.claimed == nil {
@@ -511,7 +511,7 @@ type pathState struct {
 // ~half a vehicle length, capped at SubSteps — so slow states stay cheap
 // and fast states cannot tunnel between the footprint checks pathOK later
 // runs over the recorded states.
-func (c Config) integrate(s vehicle.State, sinH, cosH float64, u vehicle.Control, tanSteer float64, path []pathState) (vehicle.State, int) {
+func (c *Config) integrate(s vehicle.State, sinH, cosH float64, u vehicle.Control, tanSteer float64, path []pathState) (vehicle.State, int) {
 	sub := int(math.Ceil(s.Speed * c.SliceDt / (c.Params.Length / 2)))
 	if sub < 1 {
 		sub = 1

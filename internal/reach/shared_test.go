@@ -33,16 +33,16 @@ func randomScene(rng *rand.Rand, n int) (vehicle.State, []*actor.Actor) {
 
 // requireSharedMatchesLegacy checks every volume ComputeCounterfactuals
 // reports against the legacy per-world tubes, bit for bit, plus the result
-// metadata: every actor is represented and the mask width matches the
-// world count.
+// metadata: every actor has a volume and the mask width matches the world
+// count.
 func requireSharedMatchesLegacy(t *testing.T, tag string, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, cfg Config) {
 	t.Helper()
 	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles(actors, trajs, cfg)
 	sh := ComputeCounterfactuals(m, obs, ego, cfg, nil)
 
-	if sh.Represented != len(actors) {
-		t.Errorf("%s: represented %d, want every actor (%d)", tag, sh.Represented, len(actors))
+	if len(sh.WithoutVolume) != len(actors) {
+		t.Errorf("%s: %d without-volumes, want every actor (%d)", tag, len(sh.WithoutVolume), len(actors))
 	}
 	if want := (1 + len(actors) + 63) / 64; sh.MaskWords != want {
 		t.Errorf("%s: mask words %d, want %d", tag, sh.MaskWords, want)
@@ -170,10 +170,9 @@ func TestSharedSegmentedForcedWords(t *testing.T) {
 		for _, words := range []int{2, 3} {
 			got := SharedTubes{
 				WithoutVolume: make([]float64, n),
-				Represented:   n,
 				MaskWords:     words,
 			}
-			computeSegmented(road, obs, ego, cfg, scr, &got, 1+n, words)
+			warmSegmented(road, obs, ego, cfg, scr, nil, &got, 1+n, words)
 			if got.BaseVolume != want.BaseVolume {
 				t.Errorf("iter %d words %d: base %v, single-word %v", iter, words, got.BaseVolume, want.BaseVolume)
 			}

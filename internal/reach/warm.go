@@ -2,7 +2,6 @@ package reach
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/roadmap"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-// Temporal-coherence warm start for the shared-expansion engine.
+// Temporal-coherence warm start for the shared expansion.
 //
 // Session traffic scores nearly the same scene every tick: the ego root is
 // often bitwise-stable across ticks and most actors move a few centimetres.
@@ -339,27 +338,6 @@ type warmSuspect struct {
 	min, max geom.Vec2
 }
 
-// roadKey snapshots a map's identity by value: the scene codec materialises
-// a fresh map object per request, so pointer identity never matches across
-// ticks. Only the stock roadmap types are recognised; anything else is
-// never warmed (every tick fully invalidates, which is correct, just not
-// fast).
-type roadKey struct {
-	kind     uint8 // 0 none, 1 straight, 2 ring
-	straight roadmap.StraightRoad
-	ring     roadmap.RingRoad
-}
-
-func roadKeyOf(m roadmap.Map) (roadKey, bool) {
-	switch r := m.(type) {
-	case *roadmap.StraightRoad:
-		return roadKey{kind: 1, straight: *r}, true
-	case *roadmap.RingRoad:
-		return roadKey{kind: 2, ring: *r}, true
-	}
-	return roadKey{}, false
-}
-
 // WarmState carries one session's cross-tick expansion state: the candidate
 // memo, the per-tick suspect lists, and the previous tick's inputs the
 // invalidation compares against. It holds no per-tick working memory — that
@@ -372,13 +350,14 @@ type WarmState struct {
 	prevObs  *Obstacles
 	prevEgo  vehicle.State
 	prevCfg  Config
-	prevRoad roadKey
+	prevRoad roadmap.Key
 
 	gen   uint32
 	memo  warmMemo
 	sus   [][]warmSuspect // per entry slice, this tick's changed actors
 	susU  []warmSuspect   // per entry slice, union AABB over sus (fast reject)
 	scand []warmSuspect   // per-candidate overlapping-suspect scratch
+	stats WarmStats       // the tick in progress
 	fsrc  []int32         // per frontier entry, the ctrl slot that produced it
 	nsrc  []int32         // next-frontier counterpart of fsrc
 }
@@ -392,7 +371,7 @@ func (ws *WarmState) Reset() {
 	ws.prevObs = nil
 	ws.prevEgo = vehicle.State{}
 	ws.prevCfg = Config{}
-	ws.prevRoad = roadKey{}
+	ws.prevRoad = roadmap.Key{}
 	ws.gen = 0
 	ws.memo.resetAll()
 	for i := range ws.sus {
@@ -550,27 +529,13 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 	if ws == nil {
 		return ComputeCounterfactuals(m, obs, ego, cfg, scr), WarmStats{}
 	}
-	n := obs.NumActors()
-	numWorlds := 1 + n
-	words := (numWorlds + 63) / 64
-	res := SharedTubes{
-		WithoutVolume: make([]float64, n),
-		Represented:   n,
-		MaskWords:     words,
-	}
-	if scr == nil {
-		scr = NewScratch()
-	}
-	telSharedComputes.Inc()
-	telSharedWorlds.Observe(float64(numWorlds))
-
 	// Warm iff everything the memoized candidates depend on beyond the
 	// suspect set is bitwise-unchanged: the exact ego root (ε = 0 — any
 	// root motion re-anchors the whole expansion), the configuration, the
 	// map by value, and the actor count (world-bit indices shift with it).
-	rk, cacheable := roadKeyOf(m)
+	rk, cacheable := roadmap.KeyOf(m)
 	warm := cacheable && ws.prevObs != nil && ws.prevEgo == ego && ws.prevCfg == cfg &&
-		ws.prevRoad == rk && ws.prevObs.NumActors() == n && ws.prevObs.numSlices == obs.numSlices
+		ws.prevRoad == rk && ws.prevObs.NumActors() == obs.NumActors() && ws.prevObs.numSlices == obs.numSlices
 	if !warm {
 		ws.memo.resetAll()
 	}
@@ -587,12 +552,9 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 		}
 	}
 
-	stats := WarmStats{Hit: warm}
-	if words == 1 {
-		warmSingleWord(m, obs, ego, cfg, scr, ws, &res, numWorlds, &stats)
-	} else {
-		warmSegmented(m, obs, ego, cfg, scr, ws, &res, numWorlds, words, &stats)
-	}
+	ws.stats = WarmStats{Hit: warm}
+	res := expand(m, obs, ego, cfg, scr, ws)
+	stats := ws.stats
 
 	ws.prevEgo, ws.prevCfg, ws.prevRoad = ego, cfg, rk
 	ws.prevObs = obs
@@ -602,6 +564,116 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 	telWarmReused.Add(int64(stats.Reused))
 	telWarmInvalidated.Add(int64(stats.Invalidated))
 	return res, stats
+}
+
+// The expansion loops thread the memo's frontier bookkeeping through these
+// nil-safe methods: fsrc[fi] is the ctrl slot that produced frontier entry
+// fi (its child hint leads straight to the entry's own block), nsrc the
+// same for the next frontier. On the cold path (nil WarmState) they do
+// nothing.
+
+// startFrontier seeds the bookkeeping with the root, which no ctrl produced.
+func (ws *WarmState) startFrontier() {
+	if ws != nil {
+		ws.fsrc = append(ws.fsrc[:0], -1)
+		ws.nsrc = ws.nsrc[:0]
+	}
+}
+
+// parent returns frontier entry fi's control block in the memo and whether
+// it already holds integrations; zero and false when cold.
+func (ws *WarmState) parent(fi int, st *vehicle.State, slice int) (int32, bool) {
+	if ws == nil {
+		return 0, false
+	}
+	return ws.memo.lookupVia(ws.fsrc[fi], makeWarmKey(*st, int32(slice)))
+}
+
+// produced records that ctrl slot ci produced the next frontier's newest
+// entry.
+func (ws *WarmState) produced(ci int32) {
+	if ws != nil {
+		ws.nsrc = append(ws.nsrc, ci)
+	}
+}
+
+// advance moves the bookkeeping to the next slice's frontier.
+func (ws *WarmState) advance() {
+	if ws != nil {
+		ws.fsrc, ws.nsrc = ws.nsrc, ws.fsrc[:0]
+	}
+}
+
+// verdict brings memo slot ci's path-sweep verdict up to date for this
+// tick and returns the slot. The verdict is reused when it was resolved
+// earlier this tick (duplicate frontier states re-reach the same
+// candidate), when it is off-road (actor-independent, never expires within
+// the epoch), or when the previous tick's verdict survives the suspect
+// checks. A decomposable verdict touched by suspects is merged with only
+// their fresh hits; anything else is fully re-swept.
+func (x *expander) verdict(ci int32, path []pathState, slice int) *warmCtrl {
+	ws := x.ws
+	me := &ws.memo.ctrls[ci]
+	subs := ws.memo.ctrlSubs(ci)
+	switch {
+	case me.verdict == verdictNone:
+		warmSweep(x.m, x.pm, x.obs, x.pb, path, slice, x.act, subs, me)
+	case me.verdictGen == ws.gen:
+	case me.verdict == verdictOffroad:
+		x.ws.stats.Reused++
+	case me.verdictGen != ws.gen-1: // stale: older than the previous tick
+		warmSweep(x.m, x.pm, x.obs, x.pb, path, slice, x.act, subs, me)
+	default:
+		sus := ws.overlapping(slice, me.pathMin, me.pathMax)
+		switch {
+		case len(sus) == 0 || me.verdict != verdictZeroOpaque && !subsOverlap(subs, int(me.nsub), sus):
+			x.ws.stats.Reused++
+		case me.verdict != verdictZeroOpaque:
+			x.ws.stats.Invalidated++
+			warmRevalidate(x.obs, x.pb, path, slice, sus, subs, me)
+		default:
+			x.ws.stats.Invalidated++
+			warmSweep(x.m, x.pm, x.obs, x.pb, path, slice, x.act, subs, me)
+		}
+	}
+	me.verdictGen = ws.gen
+	return me
+}
+
+// hitSet is the distinct blockers a sweep has hit, at most warmMaxHits.
+type hitSet struct {
+	ids [warmMaxHits]int32
+	n   int
+}
+
+// add records actor i, reporting false when i would be a distinct blocker
+// past warmMaxHits — the sweep's verdict is then an opaque ZERO.
+func (h *hitSet) add(i int32) bool {
+	for k := 0; k < h.n; k++ {
+		if h.ids[k] == i {
+			return true
+		}
+	}
+	if h.n == warmMaxHits {
+		return false
+	}
+	h.ids[h.n] = i
+	h.n++
+	return true
+}
+
+// settle stores the complete hit-set into me and collapses it into the
+// verdict it determines: nobody = PASS, one actor = ONLY, more = ZERO.
+func (h *hitSet) settle(me *warmCtrl) {
+	me.hits, me.nhits = h.ids, uint8(h.n)
+	switch h.n {
+	case 0:
+		me.verdict = verdictPass
+	case 1:
+		me.verdict = verdictOnly
+	default:
+		me.verdict = verdictZero
+	}
 }
 
 // warmSweep runs the full path sweep for one candidate, filling me with the
@@ -615,16 +687,8 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 // blocker are terminal, so it may stop there with the partial AABB (their
 // causes lie entirely within the substeps already swept).
 func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.PreparedBox, path []pathState, slice int, act []int32, subs []subBox, me *warmCtrl) {
-	s0 := slice
-	if s0 > obs.numSlices {
-		s0 = obs.numSlices
-	}
-	s1 := slice + 1
-	if s1 > obs.numSlices {
-		s1 = obs.numSlices
-	}
-	var hits [warmMaxHits]int32
-	nh := 0
+	s0, s1 := obs.slicePair(slice)
+	var hits hitSet
 	var pmin, pmax geom.Vec2
 	for j := range path {
 		ps := &path[j]
@@ -646,9 +710,9 @@ func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.P
 				pmax.Y = pb.Max.Y
 			}
 		}
+		me.pathMin, me.pathMax = pmin, pmax
 		if !drivable(m, pm, pb) {
 			me.verdict, me.nhits = verdictOffroad, 0
-			me.pathMin, me.pathMax = pmin, pmax
 			return
 		}
 		// Same scan as maskHitsPath: broad-phase survivors only, AABB
@@ -663,36 +727,13 @@ func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.P
 				hit = pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
 					pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
 			}
-			if hit {
-				known := false
-				for k := 0; k < nh; k++ {
-					if hits[k] == i {
-						known = true
-						break
-					}
-				}
-				if !known {
-					if nh == warmMaxHits {
-						me.verdict, me.nhits = verdictZeroOpaque, 0
-						me.pathMin, me.pathMax = pmin, pmax
-						return
-					}
-					hits[nh] = i
-					nh++
-				}
+			if hit && !hits.add(i) {
+				me.verdict, me.nhits = verdictZeroOpaque, 0
+				return
 			}
 		}
 	}
-	me.hits, me.nhits = hits, uint8(nh)
-	switch nh {
-	case 0:
-		me.verdict = verdictPass
-	case 1:
-		me.verdict = verdictOnly
-	default:
-		me.verdict = verdictZero
-	}
-	me.pathMin, me.pathMax = pmin, pmax
+	hits.settle(me)
 }
 
 // warmRevalidate re-judges a memoized PASS, ONLY, or recorded-ZERO verdict
@@ -708,14 +749,7 @@ func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.P
 // verdict degrades to an opaque ZERO; the stored full-path AABB remains a
 // sound (if loose) cover for its future prefix-AABB reuse test.
 func warmRevalidate(obs *Obstacles, pb *geom.PreparedBox, path []pathState, slice int, suspects []warmSuspect, subs []subBox, me *warmCtrl) {
-	s0 := slice
-	if s0 > obs.numSlices {
-		s0 = obs.numSlices
-	}
-	s1 := slice + 1
-	if s1 > obs.numSlices {
-		s1 = obs.numSlices
-	}
+	s0, s1 := obs.slicePair(slice)
 	// The union-of-old-and-new suspect boxes decided that this entry must
 	// revalidate; the re-sweep itself only tests current placements, so
 	// shrink each suspect box (a per-candidate copy) to the AABB of its
@@ -727,8 +761,7 @@ func warmRevalidate(obs *Obstacles, pb *geom.PreparedBox, path []pathState, slic
 		sp.min = geom.V(math.Min(a0.Min.X, a1.Min.X), math.Min(a0.Min.Y, a1.Min.Y))
 		sp.max = geom.V(math.Max(a0.Max.X, a1.Max.X), math.Max(a0.Max.Y, a1.Max.Y))
 	}
-	var hits [warmMaxHits]int32
-	nh := 0
+	var hits hitSet
 	for k := 0; k < int(me.nhits); k++ {
 		h := me.hits[k]
 		keep := true
@@ -741,8 +774,7 @@ func warmRevalidate(obs *Obstacles, pb *geom.PreparedBox, path []pathState, slic
 			}
 		}
 		if keep {
-			hits[nh] = h
-			nh++
+			hits.add(h)
 		}
 	}
 	for j := range path {
@@ -772,406 +804,11 @@ func warmRevalidate(obs *Obstacles, pb *geom.PreparedBox, path []pathState, slic
 				hit = pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
 					pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
 			}
-			if hit {
-				known := false
-				for k := 0; k < nh; k++ {
-					if hits[k] == i {
-						known = true
-						break
-					}
-				}
-				if !known {
-					if nh == warmMaxHits {
-						me.verdict, me.nhits = verdictZeroOpaque, 0
-						return
-					}
-					hits[nh] = i
-					nh++
-				}
+			if hit && !hits.add(i) {
+				me.verdict, me.nhits = verdictZeroOpaque, 0
+				return
 			}
 		}
 	}
-	me.hits, me.nhits = hits, uint8(nh)
-	switch nh {
-	case 0:
-		me.verdict = verdictPass
-	case 1:
-		me.verdict = verdictOnly
-	default:
-		me.verdict = verdictZero
-	}
-}
-
-// warmSingleWord mirrors computeSingleWord with the candidate memo spliced
-// in; every bookkeeping decision (claims, caps, marks, counters) is
-// replayed identically, so the volumes are bitwise the cold engine's.
-func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds int, stats *WarmStats) {
-	n := numWorlds - 1
-	allMask := ^uint64(0) >> (64 - uint(numWorlds))
-
-	scr.resetShared(cfg.CellSize, numWorlds, 1)
-	grid := scr.mgrid
-	claimed := scr.claimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
-	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
-
-	// Root: computed cold every tick (one footprint, not worth memoizing).
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	live := uint64(0)
-	if drivable(m, pm, &egoPb) {
-		live = obs.maskHits(&egoPb, 0, allMask)
-	}
-	if live == 0 {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	ws.memo.ensureControls(len(controls), cfg.SubSteps)
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	frontier := append(scr.mfrontier[:0], maskedState{st: ego, w: live})
-	fsrc := append(ws.fsrc[:0], -1)
-	nsrc := ws.nsrc[:0]
-	next := scr.mnext[:0]
-	act := scr.mactive
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(frontier) > 0; slice++ {
-		claimed.reset()
-		clear(sliceCount)
-		// Broad phase: identical to the cold path.
-		fmin, fmax := frontier[0].st.Pos, frontier[0].st.Pos
-		vmax := frontier[0].st.Speed
-		for fi := 1; fi < len(frontier); fi++ {
-			p := frontier[fi].st.Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := frontier[fi].st.Speed; v > vmax {
-				vmax = v
-			}
-		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		capMask := uint64(0)
-		next = next[:0]
-		for fi := range frontier {
-			f := &frontier[fi]
-			if f.w&^capMask == 0 {
-				continue // every world of this parent already capped
-			}
-			base, existed := ws.memo.lookupVia(fsrc[fi], makeWarmKey(f.st, int32(slice)))
-			// Sincos is deferred until a memo miss actually integrates:
-			// cold computes it unconditionally, but it only feeds
-			// integrate, so skipping it on all-memoized parents changes
-			// nothing observable.
-			var sin0, cos0 float64
-			haveSC := false
-			for ui, u := range controls {
-				ci := base + int32(ui)
-				me := &ws.memo.ctrls[ci]
-				if !existed {
-					if !haveSC {
-						sin0, cos0 = math.Sincos(f.st.Heading)
-						haveSC = true
-					}
-					var nsub int
-					me.s2, nsub = cfg.integrate(f.st, sin0, cos0, u, tans[ui], ws.memo.ctrlPath(ci))
-					me.nsub = uint8(nsub)
-					me.skey = cfg.key(me.s2)
-				}
-				propagations++
-				s2 := me.s2
-				k := me.skey
-				// Dedup and caps first, exactly like the cold reordering:
-				// a duplicate is discarded identically whether or not its
-				// sweep would have pruned it, so its verdict need not be
-				// resolved at all this tick.
-				possible := f.w &^ capMask
-				cb, slot := claimed.probe(k)
-				possible &^= cb
-				if possible == 0 {
-					continue
-				}
-				// Verdict: reuse when resolved earlier this tick (duplicate
-				// frontier states re-reach the same candidate), when the
-				// entry is off-road (actor-independent, never expires within
-				// the epoch), or when the previous tick's verdict survives
-				// the suspect checks; merge a decomposable verdict with only
-				// the overlapping suspects' fresh hits; fully re-sweep
-				// otherwise.
-				resolve := true
-				if me.verdict != verdictNone {
-					if me.verdictGen == ws.gen {
-						resolve = false
-					} else if me.verdict == verdictOffroad {
-						stats.Reused++
-						resolve = false
-					} else if me.verdictGen == ws.gen-1 {
-						sus := ws.overlapping(slice, me.pathMin, me.pathMax)
-						if len(sus) == 0 {
-							stats.Reused++
-							resolve = false
-						} else if me.verdict != verdictZeroOpaque {
-							resolve = false
-							if !subsOverlap(ws.memo.ctrlSubs(ci), int(me.nsub), sus) {
-								stats.Reused++
-							} else {
-								stats.Invalidated++
-								warmRevalidate(obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, sus, ws.memo.ctrlSubs(ci), me)
-							}
-						} else {
-							stats.Invalidated++
-						}
-					}
-				}
-				if resolve {
-					warmSweep(m, pm, obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, act, ws.memo.ctrlSubs(ci), me)
-				}
-				me.verdictGen = ws.gen
-				switch me.verdict {
-				case verdictOnly:
-					possible &= uint64(1) << uint(1+me.hits[0])
-				case verdictZero, verdictZeroOpaque, verdictOffroad:
-					possible = 0
-				}
-				if possible == 0 {
-					pruned++
-					continue
-				}
-				claimed.orAt(slot, k, possible)
-				for b := grid.MarkBits(s2.Pos, possible); b != 0; b &= b - 1 {
-					volCount[bits.TrailingZeros64(b)]++
-				}
-				for b := possible; b != 0; b &= b - 1 {
-					w := bits.TrailingZeros64(b)
-					sliceCount[w]++
-					if sliceCount[w] >= cfg.MaxStates {
-						capMask |= uint64(1) << uint(w)
-					}
-				}
-				next = append(next, maskedState{st: s2, w: possible})
-				nsrc = append(nsrc, ci)
-				states++
-			}
-		}
-		frontier, next = next, frontier[:0]
-		fsrc, nsrc = nsrc, fsrc[:0]
-	}
-	scr.mfrontier, scr.mnext, scr.mactive = frontier, next, act
-	ws.fsrc, ws.nsrc = fsrc, nsrc
-	finish(states, propagations, pruned)
-}
-
-// warmSegmented mirrors computeSegmented with the candidate memo spliced
-// in, exactly as warmSingleWord mirrors computeSingleWord.
-func warmSegmented(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds, words int, stats *WarmStats) {
-	n := numWorlds - 1
-
-	scr.resetShared(cfg.CellSize, numWorlds, words)
-	grid := scr.mgrid
-	claimed := scr.sclaimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
-	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
-
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	possible := scr.sposs
-	fullMask(possible, numWorlds)
-	if !drivable(m, pm, &egoPb) || !obs.maskHitsSeg(&egoPb, 0, possible) {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	ws.memo.ensureControls(len(controls), cfg.SubSteps)
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	fstates := append(scr.sfstates[:0], ego)
-	fmasks := append(scr.sfmasks[:0], possible...)
-	fsrc := append(ws.fsrc[:0], -1)
-	nsrc := ws.nsrc[:0]
-	nstates := scr.snstates[:0]
-	nmasks := scr.snmasks[:0]
-	act := scr.mactive
-	capMask := scr.scap
-	newBits := scr.snew
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
-		claimed.reset(words)
-		clear(sliceCount)
-		clear(capMask)
-		fmin, fmax := fstates[0].Pos, fstates[0].Pos
-		vmax := fstates[0].Speed
-		for fi := 1; fi < len(fstates); fi++ {
-			p := fstates[fi].Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := fstates[fi].Speed; v > vmax {
-				vmax = v
-			}
-		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		nstates = nstates[:0]
-		nmasks = nmasks[:0]
-		for fi := range fstates {
-			fmask := fmasks[fi*words : fi*words+words]
-			if !anyUncapped(fmask, capMask) {
-				continue // every world of this parent already capped
-			}
-			base, existed := ws.memo.lookupVia(fsrc[fi], makeWarmKey(fstates[fi], int32(slice)))
-			var sin0, cos0 float64
-			haveSC := false
-			for ui, u := range controls {
-				ci := base + int32(ui)
-				me := &ws.memo.ctrls[ci]
-				if !existed {
-					if !haveSC {
-						sin0, cos0 = math.Sincos(fstates[fi].Heading)
-						haveSC = true
-					}
-					var nsub int
-					me.s2, nsub = cfg.integrate(fstates[fi], sin0, cos0, u, tans[ui], ws.memo.ctrlPath(ci))
-					me.nsub = uint8(nsub)
-					me.skey = cfg.key(me.s2)
-				}
-				propagations++
-				s2 := me.s2
-				k := me.skey
-				for w := 0; w < words; w++ {
-					possible[w] = fmask[w] &^ capMask[w]
-				}
-				live, slot := claimed.andNotProbe(k, possible)
-				if !live {
-					continue
-				}
-				resolve := true
-				if me.verdict != verdictNone {
-					if me.verdictGen == ws.gen {
-						resolve = false
-					} else if me.verdict == verdictOffroad {
-						stats.Reused++
-						resolve = false
-					} else if me.verdictGen == ws.gen-1 {
-						sus := ws.overlapping(slice, me.pathMin, me.pathMax)
-						if len(sus) == 0 {
-							stats.Reused++
-							resolve = false
-						} else if me.verdict != verdictZeroOpaque {
-							resolve = false
-							if !subsOverlap(ws.memo.ctrlSubs(ci), int(me.nsub), sus) {
-								stats.Reused++
-							} else {
-								stats.Invalidated++
-								warmRevalidate(obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, sus, ws.memo.ctrlSubs(ci), me)
-							}
-						} else {
-							stats.Invalidated++
-						}
-					}
-				}
-				if resolve {
-					warmSweep(m, pm, obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, act, ws.memo.ctrlSubs(ci), me)
-				}
-				me.verdictGen = ws.gen
-				ok := true
-				switch me.verdict {
-				case verdictOnly:
-					ok = strikeOnly(possible, 1+int(me.hits[0]))
-				case verdictZero, verdictZeroOpaque, verdictOffroad:
-					ok = false
-				}
-				if !ok {
-					pruned++
-					continue
-				}
-				claimed.orAt(slot, k, possible)
-				grid.MarkWords(s2.Pos, possible, newBits)
-				for w := 0; w < words; w++ {
-					for b := newBits[w]; b != 0; b &= b - 1 {
-						volCount[w<<6+bits.TrailingZeros64(b)]++
-					}
-				}
-				for w := 0; w < words; w++ {
-					for b := possible[w]; b != 0; b &= b - 1 {
-						tz := bits.TrailingZeros64(b)
-						wi := w<<6 + tz
-						sliceCount[wi]++
-						if sliceCount[wi] >= cfg.MaxStates {
-							capMask[w] |= uint64(1) << uint(tz)
-						}
-					}
-				}
-				nstates = append(nstates, s2)
-				nmasks = append(nmasks, possible...)
-				nsrc = append(nsrc, ci)
-				states++
-			}
-		}
-		fstates, nstates = nstates, fstates[:0]
-		fmasks, nmasks = nmasks, fmasks[:0]
-		fsrc, nsrc = nsrc, fsrc[:0]
-	}
-	scr.sfstates, scr.sfmasks, scr.snstates, scr.snmasks, scr.mactive = fstates, fmasks, nstates, nmasks, act
-	ws.fsrc, ws.nsrc = fsrc, nsrc
-	finish(states, propagations, pruned)
+	hits.settle(me)
 }

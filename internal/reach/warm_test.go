@@ -21,9 +21,8 @@ func requireTubesIdentical(t *testing.T, tag string, tick int, want, got SharedT
 	if got.States != want.States {
 		t.Errorf("%s tick %d: states %d, cold %d", tag, tick, got.States, want.States)
 	}
-	if got.Represented != want.Represented || got.MaskWords != want.MaskWords {
-		t.Errorf("%s tick %d: mask %d/%d words, cold %d/%d",
-			tag, tick, got.Represented, got.MaskWords, want.Represented, want.MaskWords)
+	if got.MaskWords != want.MaskWords {
+		t.Errorf("%s tick %d: mask %d words, cold %d", tag, tick, got.MaskWords, want.MaskWords)
 	}
 	if len(got.WithoutVolume) != len(want.WithoutVolume) {
 		t.Fatalf("%s tick %d: %d without-volumes, cold %d", tag, tick, len(got.WithoutVolume), len(want.WithoutVolume))

@@ -192,3 +192,25 @@ func (r *RingRoad) PoseAt(radius, angle float64) (geom.Vec2, float64) {
 
 // AngleOf returns the polar angle of p around the ring centre.
 func (r *RingRoad) AngleOf(p geom.Vec2) float64 { return p.Sub(r.Center).Angle() }
+
+// Key is a map's identity by value, for caches keyed on road geometry: the
+// scene codec materialises a fresh map object per request, so pointer
+// identity never matches across requests. Two maps have equal keys iff they
+// are the same family with equal parameters.
+type Key struct {
+	kind     uint8 // 0 none, 1 straight, 2 ring
+	straight StraightRoad
+	ring     RingRoad
+}
+
+// KeyOf returns m's by-value key. Only the stock map families are
+// recognised; for any other Map it reports false.
+func KeyOf(m Map) (Key, bool) {
+	switch r := m.(type) {
+	case *StraightRoad:
+		return Key{kind: 1, straight: *r}, true
+	case *RingRoad:
+		return Key{kind: 2, ring: *r}, true
+	}
+	return Key{}, false
+}

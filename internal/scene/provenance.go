@@ -12,21 +12,21 @@ type Provenance struct {
 	// TraceID is the request's trace identifier (32 hex digits), matching
 	// the X-Trace-Id response header and the server's wide-event journal.
 	TraceID string `json:"trace_id"`
-	// Engine is the counterfactual engine used: "shared", "legacy" or
-	// "empty" (actor-free scene).
+	// Engine is the counterfactual engine used: "shared" (two or more
+	// actors), "single" (one actor) or "empty" (actor-free scene).
 	Engine string `json:"engine"`
 	// CacheState is the empty-volume cache outcome: "hit", "miss" or
 	// "bypass".
 	CacheState string `json:"cache_state"`
 	// MaskWidth is the number of actors the shared expansion carried as
-	// world-mask bits (zero on the legacy engine). Segmented masks carry
-	// every actor, so on the shared engine this equals the actor count.
+	// world-mask bits: the actor count on the shared engine, zero on the
+	// others.
 	MaskWidth int `json:"mask_width,omitempty"`
 	// MaskWords is the number of 64-bit words in the shared expansion's
-	// world masks (1 = single-word fast path; zero on the legacy engine).
+	// world masks (1 = single-word loop; zero on the other engines).
 	MaskWords int `json:"mask_words,omitempty"`
-	// ElidedActors counts per-actor counterfactual tubes skipped by a
-	// certificate (never-blocking actor or dead-band).
+	// ElidedActors counts per-actor counterfactuals that needed no tube of
+	// their own (dead-band certificate, or a single-actor scene).
 	ElidedActors int `json:"elided_actors,omitempty"`
 	// WarmHit reports that a session evaluation validated its previous
 	// tick's expansion state and reused path-sweep verdicts (temporal

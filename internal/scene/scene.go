@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/actor"
@@ -127,8 +128,11 @@ func DecodeReader(r io.Reader) (Scene, error) {
 	return Decode(data)
 }
 
-// Validate checks the version tag and structural invariants without
-// materialising the scene.
+// Validate checks the version tag, structural invariants and the model's
+// input domain without materialising the scene. Out-of-domain scenes fail
+// closed here rather than scoring a meaningless STI: any non-finite number,
+// an ego speed outside [0, vehicle.DefaultParams().MaxSpeed], a negative
+// actor speed, or an ego or actor heading beyond ±2π.
 func (s Scene) Validate() error {
 	switch {
 	case s.Version == "":
@@ -151,6 +155,21 @@ func (s Scene) Validate() error {
 	default:
 		return fmt.Errorf("scene: unknown road kind %q (want straight|ring)", s.Road.Kind)
 	}
+	if r := s.Road.Straight; r != nil && !finite(r.LaneWidth, r.XMin, r.XMax) {
+		return fmt.Errorf("scene: straight road has a non-finite parameter")
+	}
+	if r := s.Road.Ring; r != nil && !finite(r.CenterX, r.CenterY, r.InnerR, r.OuterR) {
+		return fmt.Errorf("scene: ring road has a non-finite parameter")
+	}
+	if !finite(s.Time) {
+		return fmt.Errorf("scene: time %v is not finite", s.Time)
+	}
+	if err := s.Ego.checkDomain("ego"); err != nil {
+		return err
+	}
+	if maxSpeed := vehicle.DefaultParams().MaxSpeed; s.Ego.Speed > maxSpeed {
+		return fmt.Errorf("scene: ego speed %v above the model's maximum %v", s.Ego.Speed, maxSpeed)
+	}
 	for i, a := range s.Actors {
 		if _, ok := kindByName[a.Kind]; !ok {
 			return fmt.Errorf("scene: actor %d: unknown kind %q (want vehicle|pedestrian|static)", i, a.Kind)
@@ -158,8 +177,42 @@ func (s Scene) Validate() error {
 		if len(a.Trajectory) > 0 && a.TrajectoryDt <= 0 {
 			return fmt.Errorf("scene: actor %d: trajectory without positive trajectory_dt", i)
 		}
+		if err := a.State.checkDomain(fmt.Sprintf("actor %d", i)); err != nil {
+			return err
+		}
+		if !finite(a.Length, a.Width, a.YawRate, a.TrajectoryDt) {
+			return fmt.Errorf("scene: actor %d has a non-finite footprint, yaw rate or trajectory_dt", i)
+		}
+		for j, ts := range a.Trajectory {
+			if !finite(ts.X, ts.Y, ts.Heading, ts.Speed) {
+				return fmt.Errorf("scene: actor %d: trajectory state %d is not finite", i, j)
+			}
+		}
 	}
 	return nil
+}
+
+// checkDomain rejects a non-finite state, a negative speed, or a heading
+// beyond ±2π.
+func (s State) checkDomain(what string) error {
+	switch {
+	case !finite(s.X, s.Y, s.Heading, s.Speed):
+		return fmt.Errorf("scene: %s state is not finite", what)
+	case s.Speed < 0:
+		return fmt.Errorf("scene: %s speed %v is negative", what, s.Speed)
+	case math.Abs(s.Heading) > 2*math.Pi:
+		return fmt.Errorf("scene: %s heading %v is beyond ±2π", what, s.Heading)
+	}
+	return nil
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Materialize converts the wire scene into the internal types an

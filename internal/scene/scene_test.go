@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -167,5 +168,58 @@ func TestMaterializeRejectsInvalidRoad(t *testing.T) {
 	s.Road.Straight.XMax = s.Road.Straight.XMin // empty extent
 	if _, _, _, _, _, err := s.Materialize(); err == nil {
 		t.Error("invalid road materialised")
+	}
+}
+
+// Out-of-domain scenes must fail closed in Validate (and so in Materialize
+// and on the server's 400 path) rather than score a meaningless STI. The
+// boundary values of the domain stay valid.
+func TestValidateDomain(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		edit  func(*Scene)
+		valid bool
+	}{
+		{"nan ego x", func(s *Scene) { s.Ego.X = nan }, false},
+		{"inf ego y", func(s *Scene) { s.Ego.Y = -inf }, false},
+		{"nan time", func(s *Scene) { s.Time = nan }, false},
+		{"inf lane width", func(s *Scene) { s.Road.Straight.LaneWidth = inf }, false},
+		{"nan ring radius", func(s *Scene) {
+			s.Road = Road{Kind: "ring", Ring: &RingRoad{InnerR: nan, OuterR: 9}}
+		}, false},
+		{"nan actor speed", func(s *Scene) { s.Actors[0].State.Speed = nan }, false},
+		{"inf actor length", func(s *Scene) { s.Actors[0].Length = inf }, false},
+		{"nan yaw rate", func(s *Scene) { s.Actors[1].YawRate = nan }, false},
+		{"nan trajectory state", func(s *Scene) {
+			s.Actors[0].Trajectory = []State{{X: 1}, {X: nan}}
+			s.Actors[0].TrajectoryDt = 0.5
+		}, false},
+		{"ego speed 1e6", func(s *Scene) { s.Ego.Speed = 1e6 }, false},
+		{"negative ego speed", func(s *Scene) { s.Ego.Speed = -50 }, false},
+		{"negative actor speed", func(s *Scene) { s.Actors[1].State.Speed = -0.1 }, false},
+		{"ego heading 1e300", func(s *Scene) { s.Ego.Heading = 1e300 }, false},
+		{"actor heading past -2π", func(s *Scene) { s.Actors[0].State.Heading = -7 }, false},
+		{"ego at max speed", func(s *Scene) { s.Ego.Speed = vehicle.DefaultParams().MaxSpeed }, true},
+		{"stationary ego", func(s *Scene) { s.Ego.Speed = 0 }, true},
+		{"heading exactly 2π", func(s *Scene) { s.Ego.Heading = 2 * math.Pi }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := straightScene()
+			tc.edit(&s)
+			err := s.Validate()
+			if tc.valid && err != nil {
+				t.Errorf("in-domain scene rejected: %v", err)
+			}
+			if !tc.valid {
+				if err == nil {
+					t.Fatal("out-of-domain scene accepted")
+				}
+				if _, _, _, _, _, merr := s.Materialize(); merr == nil {
+					t.Error("out-of-domain scene materialised")
+				}
+			}
+		})
 	}
 }

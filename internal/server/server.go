@@ -67,22 +67,12 @@ type Config struct {
 	// Workers is the number of scoring workers (and pooled evaluators).
 	// 0 resolves to runtime.GOMAXPROCS(0).
 	Workers int
-	// EvalWorkers bounds each evaluator's internal per-actor counterfactual
-	// fan-out. The default 0 resolves to 1 (serial) — the service already
-	// runs one evaluator per core, so nested fan-out oversubscribes.
-	EvalWorkers int
-	// SharedExpansion scores multi-actor requests with the shared-expansion
-	// counterfactual engine (one masked reach-tube expansion for |T| and
-	// every |T^{/i}|, bitwise-identical results; see sti.Options). It cuts
-	// dense-scene scoring cost from O(actors) tubes to ~one and is
-	// recommended for serving; the legacy per-actor path remains available
-	// as the reference oracle.
-	SharedExpansion bool
 	// WarmStart gives each session a temporal-coherence warm-start state
 	// (sti.WarmState): consecutive /observe ticks of one session reuse the
 	// previous tick's reach-expansion verdicts where provably unchanged,
 	// with bitwise-identical results (see DESIGN.md "Temporal coherence").
-	// Requires SharedExpansion; stateless /v1/score requests are unaffected.
+	// It costs per-session memo memory; stateless /v1/score requests are
+	// unaffected.
 	WarmStart bool
 	// QueueDepth bounds the jobs waiting for a worker beyond those being
 	// scored; enqueues past it answer 429. 0 resolves to 16×Workers.
@@ -131,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.EvalWorkers <= 0 {
-		c.EvalWorkers = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16 * c.Workers
@@ -234,11 +221,7 @@ func New(cfg Config) (*Server, error) {
 		closing: make(chan struct{}),
 	}
 	for i := range s.pool {
-		ev, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{
-			Workers:         cfg.EvalWorkers,
-			SharedExpansion: cfg.SharedExpansion,
-			WarmStart:       cfg.WarmStart,
-		})
+		ev, err := sti.NewEvaluator(cfg.Reach)
 		if err != nil {
 			return nil, fmt.Errorf("server: evaluator %d: %w", i, err)
 		}
@@ -370,9 +353,9 @@ func (s *Server) runJob(j *job, ev *sti.Evaluator) {
 }
 
 // takeWarm hands out a warm-start state for a new session, or nil when the
-// configuration doesn't warm (WarmStart requires SharedExpansion).
+// configuration doesn't warm.
 func (s *Server) takeWarm() *sti.WarmState {
-	if !s.cfg.WarmStart || !s.cfg.SharedExpansion {
+	if !s.cfg.WarmStart {
 		return nil
 	}
 	return s.warmPool.Get().(*sti.WarmState)

@@ -117,38 +117,6 @@ func TestScoreHappyPath(t *testing.T) {
 	}
 }
 
-// A server configured with the shared-expansion engine must answer every
-// scoring request with exactly the bytes the legacy configuration answers:
-// the engine is a perf choice, never an API-visible one.
-func TestScoreSharedExpansionIdentical(t *testing.T) {
-	_, legacyTS := newTestServer(t, Config{Workers: 2})
-	_, sharedTS := newTestServer(t, Config{Workers: 2, SharedExpansion: true})
-
-	body := sceneBody(t)
-	// A denser variant so the shared path (>1 actor with real blockers)
-	// actually engages.
-	densScene := testScene()
-	densScene.Actors = append(densScene.Actors,
-		scene.Actor{ID: 3, Kind: "vehicle", State: scene.State{X: 8, Y: 5.25, Speed: 6}},
-		scene.Actor{ID: 4, Kind: "vehicle", State: scene.State{X: 25, Y: 1.75, Speed: 5}},
-	)
-	denseBody, err := scene.Encode(densScene)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, b := range map[string][]byte{"base": body, "dense": denseBody} {
-		respL, bodyL := postJSON(t, legacyTS.URL+"/v1/score", b)
-		respS, bodyS := postJSON(t, sharedTS.URL+"/v1/score", b)
-		if respL.StatusCode != http.StatusOK || respS.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status legacy=%d shared=%d", name, respL.StatusCode, respS.StatusCode)
-		}
-		if !bytes.Equal(bodyL, bodyS) {
-			t.Errorf("%s: responses diverge:\nlegacy: %s\nshared: %s", name, bodyL, bodyS)
-		}
-	}
-}
-
 func TestScoreMalformedJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct{ name, body string }{
@@ -156,6 +124,8 @@ func TestScoreMalformedJSON(t *testing.T) {
 		{"missing version", `{"ego":{}}`},
 		{"future version", `{"version":"iprism.scene/v99","road":{"kind":"straight"}}`},
 		{"bad road", `{"version":"iprism.scene/v1","road":{"kind":"spiral"}}`},
+		{"ego speed out of domain", `{"version":"iprism.scene/v1","ego":{"x":0,"y":1.75,"speed":1e6},` +
+			`"road":{"kind":"straight","straight":{"lanes":2,"lane_width":3.5,"x_min":-100,"x_max":400}}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

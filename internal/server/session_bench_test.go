@@ -22,7 +22,7 @@ import (
 //
 //	GOMAXPROCS=1 go test -bench SessionObserve -run - ./internal/server
 func benchmarkSessionObserve(b *testing.B, warm bool) {
-	s, err := New(Config{Workers: 1, SharedExpansion: true, WarmStart: warm})
+	s, err := New(Config{Workers: 1, WarmStart: warm})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -310,6 +310,15 @@ func TestBatchSizeObservedNotCap(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("score status = %d body %s", resp.StatusCode, body)
 		}
+		// The response can reach the client before the worker finishes
+		// its wake-up; wait for that wake-up's observation so the next
+		// request cannot land in the same drain.
+		for deadline := time.Now().Add(5 * time.Second); snapshotHistogram(t, "server.batch.size").Count < uint64(i+1); {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker never recorded wake-up %d", i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	// Sequential requests: each wake-up drained exactly one job, so every
 	// observation must be 1. Max lives in the histogram stats snapshot.

@@ -97,7 +97,7 @@ func TestErrorPathsCarryTraceHeaders(t *testing.T) {
 }
 
 func TestExplainProvenance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, SharedExpansion: true})
+	_, ts := newTestServer(t, Config{Workers: 2})
 
 	callerID := trace.NewID().String()
 	resp, body := postTraced(t, ts.URL+"/v1/score?explain=1", callerID, sceneBody(t))

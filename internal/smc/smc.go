@@ -229,7 +229,7 @@ type SMC struct {
 	policy *rl.Policy
 	eval   *sti.Evaluator
 
-	// warm retains the previous decision's shared-expansion state so that
+	// warm retains the previous decision's shared expansion state so that
 	// re-scoring a scene whose ego root has not moved (a braked ego riding
 	// out a hazard) reuses the prior tick's path-sweep verdicts. One state
 	// per controller instance: CloneForRun hands every concurrent episode
@@ -249,13 +249,10 @@ func New(cfg Config, policy *rl.Policy) (*SMC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Suites clone controllers across an episode-level worker pool, so a
-	// single-worker evaluator avoids oversubscribing that pool. The shared-
-	// expansion engine (bitwise-equal to the legacy per-actor path) backs
-	// the warm start used when the ego root is stationary between decisions;
-	// the common moving-ego decision still takes the two-tube
-	// EvaluateCombined fast path.
-	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{Workers: 1, SharedExpansion: true, WarmStart: true})
+	// The evaluator's shared expansion backs the warm start used when the
+	// ego root is stationary between decisions; the common moving-ego
+	// decision still takes the two-tube EvaluateCombined fast path.
+	eval, err := sti.NewEvaluator(cfg.Reach)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +308,7 @@ func (s *SMC) currentSTI(obs sim.Observation) float64 {
 	// two-tube EvaluateCombined fast path is strictly cheaper than the
 	// shared per-actor engine. Gate the warm path on exactly the states
 	// that can hit. Both paths return bitwise-identical combined STI (the
-	// shared-vs-legacy and warm-vs-cold differential suites), so the gate
+	// engine-vs-oracle and warm-vs-cold differential suites), so the gate
 	// trades only compute.
 	warmable := s.warm != nil && s.hasPrev && len(visible) > 1 && obs.Ego == s.prevEgo
 	s.prevEgo = obs.Ego

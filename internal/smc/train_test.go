@@ -53,8 +53,8 @@ func policyBytes(t *testing.T, ctrl *SMC) []byte {
 	return raw
 }
 
-// oracleTrain replays the pre-pipeline serial trainer verbatim: a legacy
-// single-worker evaluator, the learner consulted inline at every decision,
+// oracleTrain replays the pre-pipeline serial trainer verbatim: a plain
+// evaluator, the learner consulted inline at every decision,
 // no hooks, no checkpoints. It is the frozen reference the refactored
 // serial engine must reproduce bitwise.
 func oracleTrain(t *testing.T, scns []scenario.Scenario, cfg Config, episodes int) []float64 {
@@ -63,7 +63,7 @@ func oracleTrain(t *testing.T, scns []scenario.Scenario, cfg Config, episodes in
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{Workers: 1})
+	eval, err := sti.NewEvaluator(cfg.Reach)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func BenchmarkEvaluateCombined(b *testing.B) {
 }
 
 // BenchmarkEvaluateFull measures the full per-actor counterfactual
-// evaluation (N+2 reach-tube computations).
+// evaluation of a three-actor scene.
 func BenchmarkEvaluateFull(b *testing.B) {
 	e := MustNewEvaluator(reach.DefaultConfig())
 	m := testRoad()
@@ -44,16 +44,12 @@ func BenchmarkEvaluateFull(b *testing.B) {
 	}
 }
 
-// benchmarkDense12 measures the full evaluation on the dense 12-actor
-// scene — the workload class the shared-expansion engine targets — with the
-// engine on or off. Compare:
+// BenchmarkEvaluateDense12 measures the full evaluation on the dense
+// 12-actor scene — the workload class the shared expansion exists for:
 //
 //	go test -bench 'EvaluateDense12' -run - ./internal/sti
-func benchmarkDense12(b *testing.B, opts Options) {
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkEvaluateDense12(b *testing.B) {
+	e := MustNewEvaluator(reach.DefaultConfig())
 	m, egoS, actors := dense12Scene()
 	trajs := actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
 	b.ResetTimer()
@@ -62,19 +58,17 @@ func benchmarkDense12(b *testing.B, opts Options) {
 	}
 }
 
-func BenchmarkEvaluateDense12Legacy(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 1})
-}
-
-func BenchmarkEvaluateDense12Shared(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 1, SharedExpansion: true})
-}
-
-// The parallel legacy path is the strongest baseline: even against a
-// worker-per-counterfactual fan-out, one shared expansion should win on
-// total work (it runs the state space once instead of N+1 times).
-func BenchmarkEvaluateDense12LegacyParallel(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 8})
+// BenchmarkEvaluateCrowd128 measures a 128-actor crowd (the UrbanCrush
+// session's first tick), scored by the segmented-mask loop.
+func BenchmarkEvaluateCrowd128(b *testing.B) {
+	e := MustNewEvaluator(reach.DefaultConfig())
+	m, trace := scenario.UrbanCrushSession(128, 1)
+	tick := trace[0]
+	trajs := actor.PredictAll(tick.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Evaluate(m, tick.Ego, tick.Actors, trajs)
+	}
 }
 
 // benchmarkSession12 replays the canonical 12-actor stop-and-go session
@@ -85,10 +79,7 @@ func BenchmarkEvaluateDense12LegacyParallel(b *testing.B) {
 //
 //	go test -bench 'EvaluateSession12' -run - ./internal/sti
 func benchmarkSession12(b *testing.B, warm bool) {
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 1, SharedExpansion: true, WarmStart: warm})
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := MustNewEvaluator(reach.DefaultConfig())
 	m, trace := scenario.StopAndGoSession(12, 40)
 	var ws *WarmState
 	if warm {

@@ -28,11 +28,13 @@ var (
 // Caching it on a quantised relative pose removes one of the two
 // reach-tube computations from the EvaluateCombined hot path.
 //
-// Values are computed at the quantisation bucket's representative state, so
-// the cache is deterministic: a state always maps to the same volume
-// regardless of call order.
+// Values are computed at the quantisation bucket's representative state on
+// the road the key names (by value, so every road geometry and map family
+// has its own entries), so the cache is deterministic: a state on a given
+// road always maps to the same volume regardless of call order.
 
 type emptyKey struct {
+	road                roadmap.Key
 	lat, heading, speed int32
 }
 
@@ -71,6 +73,7 @@ func (e *Evaluator) emptyVolume(m roadmap.Map, ego vehicle.State, scr *reach.Scr
 // emptyVolumeState is emptyVolume plus the cache outcome (CacheHit,
 // CacheMiss or CacheBypass) for risk provenance.
 func (e *Evaluator) emptyVolumeState(m roadmap.Map, ego vehicle.State, scr *reach.Scratch) (float64, string) {
+	rk, _ := roadmap.KeyOf(m)
 	switch road := m.(type) {
 	case *roadmap.StraightRoad:
 		// The cached volume is computed at the segment centre, so it is only
@@ -84,6 +87,7 @@ func (e *Evaluator) emptyVolumeState(m roadmap.Map, ego vehicle.State, scr *reac
 			break // near a segment end: x matters, compute directly
 		}
 		key := emptyKey{
+			road:    rk,
 			lat:     quantize(ego.Pos.Y, cacheLatQ),
 			heading: quantize(ego.Heading, cacheHeadingQ),
 			speed:   quantize(ego.Speed, cacheSpeedQ),
@@ -104,6 +108,7 @@ func (e *Evaluator) emptyVolumeState(m roadmap.Map, ego vehicle.State, scr *reac
 		tangent := geom.NormalizeAngle(road.AngleOf(ego.Pos) + math.Pi/2)
 		relHeading := geom.AngleDiff(ego.Heading, tangent)
 		key := emptyKey{
+			road:    rk,
 			lat:     quantize(radial, cacheLatQ),
 			heading: quantize(relHeading, cacheHeadingQ),
 			speed:   quantize(ego.Speed, cacheSpeedQ),

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/reach"
+	"repro/internal/roadmap"
 	"repro/internal/vehicle"
 )
 
@@ -102,5 +103,49 @@ func TestEmptyCacheSingleflight(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", c.Len())
+	}
+}
+
+// The empty-volume cache is keyed on the road by value. On one evaluator,
+// two straight roads scored in either order must get the volumes fresh
+// evaluators report, and a straight road and a ring road whose relative
+// poses quantise to the same bucket must not share an entry.
+func TestEmptyCacheKeyedOnRoad(t *testing.T) {
+	twoLane := roadmap.MustStraightRoad(2, 3.5, -50, 500)
+	fourLane := roadmap.MustStraightRoad(4, 3.5, -50, 500)
+	wide := roadmap.MustStraightRoad(8, 3.5, -50, 500)
+	ring, err := roadmap.NewRingRoad(geom.V(0, 0), 14, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onRing := vehicle.State{Speed: 10}
+	onRing.Pos, onRing.Heading = ring.PoseAt(19.25, 0.3)
+	cases := []struct {
+		m   roadmap.Map
+		ego vehicle.State
+	}{
+		{twoLane, ego(225, 1.75, 10)},
+		{fourLane, ego(225, 1.75, 10)},
+		{wide, ego(225, 19.25, 10)},
+		{ring, onRing},
+	}
+	want := make([]float64, len(cases))
+	for i, c := range cases {
+		want[i] = eval(t).emptyVolume(c.m, c.ego, reach.NewScratch())
+	}
+	if want[0] == want[1] || want[2] == want[3] {
+		t.Fatalf("fresh volumes %v do not tell the roads apart: test is vacuous", want)
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
+		e := eval(t)
+		scr := reach.NewScratch()
+		for _, i := range order {
+			if got := e.emptyVolume(cases[i].m, cases[i].ego, scr); got != want[i] {
+				t.Errorf("order %v, road %d: |T^∅| = %v, fresh evaluator %v", order, i, got, want[i])
+			}
+		}
+		if n := e.cache.Len(); n != 2 {
+			t.Errorf("order %v: %d cache entries, want one per road", order, n)
+		}
 	}
 }

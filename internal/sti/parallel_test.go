@@ -15,8 +15,8 @@ import (
 
 // parallelScenes returns a mix of straight-road and ring-road scenes with
 // several actors each: generated suite instances plus a dense hand-built
-// scene, so the serial/parallel comparison exercises both map families and
-// a fan-out wider than the worker count.
+// scene, so the differential and concurrency suites exercise both map
+// families.
 func parallelScenes(t *testing.T) []sim.Observation {
 	t.Helper()
 	var scenes []sim.Observation
@@ -67,42 +67,11 @@ func requireIdentical(t *testing.T, scene int, serial, parallel Result) {
 	}
 }
 
-// The tentpole determinism contract: Evaluate is bitwise-identical at every
-// worker count. Run under -race this also proves the fan-out is data-race
-// free.
-func TestParallelEvaluateMatchesSerial(t *testing.T) {
-	cfg := reach.DefaultConfig()
-	serialEval, err := NewEvaluatorOptions(cfg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelEval, err := NewEvaluatorOptions(cfg, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialEval.Workers() != 1 || parallelEval.Workers() != 8 {
-		t.Fatalf("worker resolution: %d/%d", serialEval.Workers(), parallelEval.Workers())
-	}
-	for si, obs := range parallelScenes(t) {
-		trajs := actor.PredictAll(obs.Actors, cfg.NumSlices(), cfg.SliceDt)
-		serial := serialEval.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-		parallel := parallelEval.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-		requireIdentical(t, si, serial, parallel)
-	}
-}
-
 // One evaluator shared by concurrent callers (the suite/SMC deployment
 // shape) must stay deterministic: every goroutine sees the serial results.
 func TestSharedEvaluatorConcurrentUse(t *testing.T) {
 	cfg := reach.DefaultConfig()
-	shared, err := NewEvaluatorOptions(cfg, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialEval, err := NewEvaluatorOptions(cfg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialEval, shared := oracleAndEngine(t)
 
 	scenes := parallelScenes(t)
 	trajs := make([][]actor.Trajectory, len(scenes))

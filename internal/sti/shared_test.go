@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/geom"
-	"repro/internal/reach"
 	"repro/internal/roadmap"
 	"repro/internal/vehicle"
 )
@@ -15,8 +14,9 @@ import (
 // fast ego on a three-lane road rolling up on two ranks of slow traffic
 // (one per lane each), fast vehicles closing from behind and a far rank at
 // the horizon's edge. The base tube is large and half the actors clip it at
-// the periphery, so the legacy path re-expands a nearly full-size tube for
-// each of ~6 blockers while the shared expansion covers the union once.
+// the periphery, so a per-actor evaluation re-expands a nearly full-size
+// tube for each of ~6 blockers while the shared expansion covers the union
+// once.
 // Benchmarks and cmd/iprism-bench's sti_evaluate_dense12 workload mirror it.
 func dense12Scene() (roadmap.Map, vehicle.State, []*actor.Actor) {
 	m := roadmap.MustStraightRoad(3, 3.5, -100, 1000)
@@ -38,35 +38,16 @@ func dense12Scene() (roadmap.Map, vehicle.State, []*actor.Actor) {
 	return m, e, actors
 }
 
-func sharedAndLegacy(t testing.TB, workers int) (legacy, shared *Evaluator) {
-	cfg := reach.DefaultConfig()
-	legacy, err := NewEvaluatorOptions(cfg, Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err = NewEvaluatorOptions(cfg, Options{Workers: workers, SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.SharedExpansion() || !shared.SharedExpansion() {
-		t.Fatal("SharedExpansion option not reflected by evaluators")
-	}
-	return legacy, shared
-}
-
-// The differential contract of the tentpole: with SharedExpansion on,
-// Evaluate is bitwise-identical to the legacy path — every Result field,
-// after snap and dead-band handling — on the full scene mix used by the
-// parallel determinism suite, at both worker counts.
+// The differential contract of the engine: Evaluate is bitwise-identical
+// to the per-actor oracle — every Result field, after snap and dead-band
+// handling — on the mixed straight/ring scene set.
 func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		legacy, shared := sharedAndLegacy(t, workers)
-		for si, obs := range parallelScenes(t) {
-			trajs := actor.PredictAll(obs.Actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-			want := legacy.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-			got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-			requireIdentical(t, si, want, got)
-		}
+	oracle, shared := oracleAndEngine(t)
+	for si, obs := range parallelScenes(t) {
+		trajs := actor.PredictAll(obs.Actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+		want := oracleEvaluate(oracle, obs.Map, obs.Ego, obs.Actors, trajs)
+		got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
+		requireIdentical(t, si, want, got)
 	}
 }
 
@@ -74,10 +55,10 @@ func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
 // for — must also be exact, and most actors must really block (otherwise
 // the scene would not exercise the engine).
 func TestSharedExpansionDense12(t *testing.T) {
-	legacy, shared := sharedAndLegacy(t, 4)
+	oracle, shared := oracleAndEngine(t)
 	m, e, actors := dense12Scene()
-	trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-	want := legacy.Evaluate(m, e, actors, trajs)
+	trajs := actor.PredictAll(actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+	want := oracleEvaluate(oracle, m, e, actors, trajs)
 	got := shared.Evaluate(m, e, actors, trajs)
 	requireIdentical(t, -12, want, got)
 	if want.Combined == 0 {
@@ -94,12 +75,12 @@ func TestSharedExpansionDense12(t *testing.T) {
 	}
 }
 
-// Randomized property sweep: shared and legacy agree bitwise across small
-// scene sizes (single-word fast path), with a mix of blocked and free
-// roads.
+// Randomized property sweep: the evaluator and the oracle agree bitwise
+// across small scene sizes (single-word loop), with a mix of blocked and
+// free roads.
 func TestSharedExpansionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	legacy, shared := sharedAndLegacy(t, 4)
+	oracle, shared := oracleAndEngine(t)
 	road := testRoad()
 	for iter := 0; iter < 25; iter++ {
 		n := rng.Intn(10)
@@ -112,8 +93,8 @@ func TestSharedExpansionRandomized(t *testing.T) {
 			})
 		}
 		e := ego(0, 1.0+rng.Float64()*5, rng.Float64()*20)
-		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-		want := legacy.Evaluate(road, e, actors, trajs)
+		trajs := actor.PredictAll(actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+		want := oracleEvaluate(oracle, road, e, actors, trajs)
 		got := shared.Evaluate(road, e, actors, trajs)
 		requireIdentical(t, iter, want, got)
 	}
@@ -121,7 +102,7 @@ func TestSharedExpansionRandomized(t *testing.T) {
 
 // Segmented scenes: 64+-actor evaluations must be scored entirely by the
 // one shared expansion — a mask as wide as the scene — and stay
-// bitwise-identical to the legacy oracle. This is the acceptance criterion
+// bitwise-identical to the per-actor oracle. This is the acceptance criterion
 // of the segmented-mask change plus the regression test for the old
 // spillover bug where never-blocking excess actors got a raw (unsnapped)
 // PerActor value: every per-actor STI must now come out of the same
@@ -131,7 +112,7 @@ func TestSharedExpansionSegmented(t *testing.T) {
 		t.Skip("64-130-actor differential scenes")
 	}
 	rng := rand.New(rand.NewSource(5))
-	legacy, shared := sharedAndLegacy(t, 4)
+	oracle, shared := oracleAndEngine(t)
 	road := testRoad()
 	for _, n := range []int{64, 70, 130} {
 		span := 60 + 3*float64(n)
@@ -144,9 +125,9 @@ func TestSharedExpansionSegmented(t *testing.T) {
 			})
 		}
 		e := ego(0, 1.75, 10)
-		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-		want := legacy.Evaluate(road, e, actors, trajs)
-		got, prov := shared.evaluate(nil, road, e, actors, trajs)
+		trajs := actor.PredictAll(actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+		want := oracleEvaluate(oracle, road, e, actors, trajs)
+		got, prov := shared.evaluate(nil, road, e, actors, trajs, nil)
 		requireIdentical(t, n, want, got)
 		if prov.MaskWidth != n {
 			t.Errorf("n=%d: mask width %d, want every actor represented", n, prov.MaskWidth)
@@ -162,16 +143,16 @@ func TestSharedExpansionSegmented(t *testing.T) {
 	}
 }
 
-// One evaluator under SharedExpansion shared by concurrent callers must
-// stay deterministic (scratch pooling, empty-volume cache, fan-out).
+// One evaluator shared by concurrent callers must stay deterministic
+// (scratch pooling, empty-volume cache).
 func TestSharedExpansionConcurrentUse(t *testing.T) {
-	legacy, shared := sharedAndLegacy(t, 4)
+	oracle, shared := oracleAndEngine(t)
 	scenes := parallelScenes(t)
 	trajs := make([][]actor.Trajectory, len(scenes))
 	want := make([]Result, len(scenes))
 	for i, obs := range scenes {
-		trajs[i] = actor.PredictAll(obs.Actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-		want[i] = legacy.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs[i])
+		trajs[i] = actor.PredictAll(obs.Actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+		want[i] = oracleEvaluate(oracle, obs.Map, obs.Ego, obs.Actors, trajs[i])
 	}
 	done := make(chan struct{})
 	for c := 0; c < 4; c++ {
@@ -215,8 +196,8 @@ func fuzzScene(seed int64, n uint8, egoY, egoSpeed float64) (vehicle.State, []*a
 	return ego(0, egoY, egoSpeed), actors
 }
 
-// FuzzSharedVsLegacy drives randomized scenes through both evaluator paths
-// and requires bitwise-equal Results. The corpus seeds mirror the suite's
+// FuzzSharedVsLegacy drives randomized scenes through the evaluator and the
+// per-actor oracle and requires bitwise-equal Results. The corpus seeds mirror the suite's
 // hand-picked regressions: a ghost-cut-in-like close leading blocker, the
 // dense straight-road scene's shape, a ring-of-actors configuration, and
 // crowd-scale scenes whose world masks need two and three words.
@@ -228,19 +209,12 @@ func FuzzSharedVsLegacy(f *testing.F) {
 	f.Add(int64(505), uint8(64), 1.75, 12.0) // first scene past the old 63-actor cap
 	f.Add(int64(606), uint8(70), 3.5, 10.0)  // word-1 masks (71 worlds)
 	f.Add(int64(707), uint8(130), 1.75, 8.0) // word-2 masks (131 worlds)
-	legacy, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 2, SharedExpansion: true})
-	if err != nil {
-		f.Fatal(err)
-	}
+	oracle, shared := oracleAndEngine(f)
 	road := testRoad()
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, egoY, egoSpeed float64) {
 		e, actors := fuzzScene(seed, n, egoY, egoSpeed)
-		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-		want := legacy.Evaluate(road, e, actors, trajs)
+		trajs := actor.PredictAll(actors, shared.cfg.NumSlices(), shared.cfg.SliceDt)
+		want := oracleEvaluate(oracle, road, e, actors, trajs)
 		got := shared.Evaluate(road, e, actors, trajs)
 		requireIdentical(t, int(seed), want, got)
 	})

@@ -13,9 +13,7 @@ package sti
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/actor"
 	"repro/internal/reach"
@@ -32,24 +30,18 @@ var (
 	telEvalSeconds     = telemetry.NewHistogram("sti.evaluate.seconds", telemetry.LatencyBuckets())
 	telCombinedSeconds = telemetry.NewHistogram("sti.evaluate_combined.seconds", telemetry.LatencyBuckets())
 	telActorsPerEval   = telemetry.NewHistogram("sti.actors_per_eval", telemetry.LinearBuckets(0, 1, 16))
-	// telParallelWorkers records the fan-out width of the latest Evaluate;
-	// telActorTubeSeconds the per-counterfactual tube latency each worker
-	// observes (serial path included, so the histogram is always populated).
-	telParallelWorkers  = telemetry.NewGauge("sti.parallel.workers")
-	telActorTubeSeconds = telemetry.NewHistogram("sti.actor_tube.seconds", telemetry.LatencyBuckets())
-	// telElided counts per-actor counterfactual tubes skipped because the
-	// actor provably could not change the base tube (never an exclusive
-	// blocker, sole actor, or dead-band certificate).
+	// telElided counts per-actor counterfactuals that needed no tube of
+	// their own: the dead-band certificate, and the single-actor scene's
+	// never-blocked actor or empty-world identity.
 	telElided = telemetry.NewCounter("sti.counterfactuals.elided")
-	// Shared-expansion path (Options.SharedExpansion): evaluation latency,
-	// how many actors each evaluation carried as explicit world-mask bits,
-	// and how many mask words the expansion needed (1 = single-word fast
-	// path).
+	// Shared expansion (every scene of two or more actors): evaluation
+	// latency, how many actors each evaluation carried as world-mask bits,
+	// and how many mask words the expansion needed (1 = single-word loop).
 	telSharedSeconds   = telemetry.NewHistogram("sti.shared_expansion.seconds", telemetry.LatencyBuckets())
 	telSharedEvals     = telemetry.NewCounter("sti.shared_expansion.evals")
 	telSharedMaskWidth = telemetry.NewHistogram("sti.shared_expansion.mask_width", telemetry.LinearBuckets(0, 8, 18))
 	telSharedMaskWords = telemetry.NewHistogram("sti.shared_expansion.mask_words", telemetry.LinearBuckets(0, 1, 5))
-	// Warm-start path (Options.WarmStart): the fraction of warm-capable
+	// Warm start (EvaluateWarm with a WarmState): the fraction of warm
 	// evaluations whose previous-tick expansion state was actually usable
 	// (ego root bitwise-stable, same config/map/actor count).
 	telWarmHitRatio = telemetry.NewGauge("sti.warm.hit_ratio")
@@ -81,73 +73,29 @@ func (r Result) MostThreatening() (int, float64) {
 	return best, bestV
 }
 
-// Options tunes evaluator behaviour beyond the reach-tube configuration.
-type Options struct {
-	// Workers bounds the goroutines fanning the per-actor counterfactual
-	// tubes of Evaluate out. 0 (the default) resolves to
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Results are
-	// bitwise-identical at every setting — each counterfactual is an
-	// independent deterministic computation written to its own index — so
-	// the knob trades only CPU against latency. Callers that already run
-	// episodes on their own worker pool (experiment suites, SMC training)
-	// should pass 1 to avoid oversubscription.
-	Workers int
-
-	// SharedExpansion selects the shared-expansion counterfactual engine
-	// (reach.ComputeCounterfactuals): the base tube |T| and every per-actor
-	// tube |T^{/i}| are derived from ONE masked expansion instead of up to
-	// N+1 independent ones, making Evaluate ~O(1) in the number of actors.
-	// Results are bitwise-identical to the legacy path — each world's
-	// expansion order, ε-dedup, pruning and MaxStates cut-off are replayed
-	// exactly through per-state world masks (DESIGN.md §8) — so the knob
-	// trades nothing but memory locality for a superlinear speedup on
-	// multi-actor scenes. Masks are segmented (ceil((1+N)/64) words), so
-	// every actor in the scene is carried by the one expansion; scenes of
-	// at most 63 actors take a scalar single-word fast path.
-	SharedExpansion bool
-
-	// WarmStart arms the temporal-coherence warm start for the shared
-	// engine: EvaluateWarm calls holding a *WarmState reuse the previous
-	// tick's path-sweep verdicts where provably unchanged
-	// (reach.ComputeCounterfactualsWarm), with results bitwise-identical
-	// to the cold path. It only affects EvaluateWarm/EvaluateWarmTraced —
-	// the stateless Evaluate entry points have no previous tick to warm
-	// from — and requires SharedExpansion (single-actor scenes and the
-	// legacy engine always score cold).
-	WarmStart bool
-}
-
 // Evaluator computes STI for scenes. It is stateless apart from
 // configuration, the empty-world volume cache and pooled scratch memory,
 // and is safe for concurrent use.
+//
+// Every scene of two or more actors is scored by one shared expansion
+// (reach.ComputeCounterfactuals), which derives |T| and every |T^{/i}| at
+// once. Single-actor scenes take two plain tubes instead (see evaluate).
 type Evaluator struct {
-	cfg     reach.Config
-	workers int
-	shared  bool
-	warm    bool
-	cache   *emptyCache
-	// scratch pools *reach.Scratch so the N+2 tube computations per
-	// evaluation reuse frontier slices, dedup maps and occupancy grids
-	// instead of churning the GC (one scratch per concurrent worker).
+	cfg   reach.Config
+	cache *emptyCache
+	// scratch pools *reach.Scratch so the tube computations of concurrent
+	// evaluations reuse frontier slices, dedup sets and occupancy grids
+	// instead of churning the GC.
 	scratch sync.Pool
 }
 
-// NewEvaluator returns an evaluator with the given reach-tube configuration
-// and default Options.
+// NewEvaluator returns an evaluator with the given reach-tube
+// configuration.
 func NewEvaluator(cfg reach.Config) (*Evaluator, error) {
-	return NewEvaluatorOptions(cfg, Options{})
-}
-
-// NewEvaluatorOptions returns an evaluator with explicit options.
-func NewEvaluatorOptions(cfg reach.Config, opts Options) (*Evaluator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Evaluator{cfg: cfg, workers: workers, shared: opts.SharedExpansion, warm: opts.WarmStart && opts.SharedExpansion, cache: newEmptyCache()}
+	e := &Evaluator{cfg: cfg, cache: newEmptyCache()}
 	e.scratch.New = func() any { return reach.NewScratch() }
 	return e, nil
 }
@@ -164,22 +112,11 @@ func MustNewEvaluator(cfg reach.Config) *Evaluator {
 // Config returns the evaluator's reach configuration.
 func (e *Evaluator) Config() reach.Config { return e.cfg }
 
-// Workers returns the resolved counterfactual fan-out bound.
-func (e *Evaluator) Workers() int { return e.workers }
-
-// SharedExpansion reports whether the evaluator uses the shared-expansion
-// counterfactual engine.
-func (e *Evaluator) SharedExpansion() bool { return e.shared }
-
-// WarmStart reports whether EvaluateWarm calls may warm-start the shared
-// expansion from a caller-held WarmState.
-func (e *Evaluator) WarmStart() bool { return e.warm }
-
 // Evaluate computes per-actor and combined STI for the ego at state ego on
 // map m, given each actor's (predicted or ground-truth) trajectory.
 // trajs[i] must correspond to actors[i].
 func (e *Evaluator) Evaluate(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) Result {
-	res, _ := e.evaluate(nil, m, ego, actors, trajs)
+	res, _ := e.evaluate(nil, m, ego, actors, trajs, nil)
 	return res
 }
 
@@ -189,13 +126,21 @@ func (e *Evaluator) Evaluate(m roadmap.Map, ego vehicle.State, actors []*actor.A
 // empty-volume cache outcome and the certificate work skipped. With no
 // recorder in ctx the result is identical to Evaluate.
 func (e *Evaluator) EvaluateTraced(ctx context.Context, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) (Result, Provenance) {
-	return e.evaluate(trace.FromContext(ctx), m, ego, actors, trajs)
+	return e.evaluate(trace.FromContext(ctx), m, ego, actors, trajs, nil)
 }
 
-// evaluate is the shared body of Evaluate and EvaluateTraced. rec may be
-// nil (the common untraced path); every span call is nil-safe, so tracing
-// costs the hot path one pointer check per call site.
-func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) (Result, Provenance) {
+// evaluate is the body of every Evaluate entry point. rec may be nil (the
+// common untraced path); every span call is nil-safe, so tracing costs the
+// hot path one pointer check per call site. ws is the caller-owned warm
+// state of a multi-actor scene, or nil to score cold.
+//
+// Single-actor scenes keep their own computation: one base tube recording
+// whether the actor ever exclusively blocked a candidate, with |T^{/0}| the
+// empty world, whose cached |T^∅| the combined ratio already uses. Scoring
+// them on the shared expansion instead changed bits, since it computes
+// |T^{/0}| exactly rather than from the cache, and was 32–35% slower on
+// that class (perfbench's seed-7 corpus on a 2-vCPU host; DESIGN.md §8).
+func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *reach.WarmState) (Result, Provenance) {
 	defer telEvalSeconds.Start().Stop()
 	telEvaluations.Inc()
 	telActorsPerEval.Observe(float64(len(actors)))
@@ -207,201 +152,107 @@ func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.Sta
 		sp.End()
 		return Result{BaseVolume: vol, EmptyVolume: vol}, Provenance{Engine: EngineEmpty, CacheState: CacheBypass}
 	}
-	// Single-actor scenes stay on the legacy path even under
-	// SharedExpansion: |T^{/0}| = |T^∅| comes from the empty-volume cache,
-	// so the legacy path is already two tubes (one on a cache hit) and the
-	// masked expansion has nothing to share.
-	if e.shared && len(actors) > 1 {
-		return e.evaluateShared(rec, m, ego, actors, trajs, scr, nil)
+	if len(actors) > 1 {
+		defer telSharedSeconds.Start().Stop()
+		telSharedEvals.Inc()
 	}
-	prov := Provenance{Engine: EngineLegacy}
 	obs := reach.BuildObstacles(actors, trajs, e.cfg)
-
 	sp := rec.StartSpan("reach.empty_tube")
 	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
 	sp.Annotate("cache_state", cacheState).End()
-	prov.CacheState = cacheState
-	// The base tube records which actors ever exclusively blocked a
-	// candidate footprint. An unmarked actor never changed a collision
-	// verdict on its own, so the deterministic expansion without it is
-	// identical: T^{/i} = T exactly, and its counterfactual tube can be
-	// skipped (the dominant cost on sparse scenes, where most actors never
-	// touch the tube).
-	marks := make([]bool, len(actors))
-	sp = rec.StartSpan("reach.base_tube")
-	base := reach.ComputeScratch(m, obs.CollideRecording(marks), ego, e.cfg, scr)
-	sp.End()
-
+	prov := Provenance{CacheState: cacheState}
 	res := Result{
 		PerActor:      make([]float64, len(actors)),
 		WithoutVolume: make([]float64, len(actors)),
-		BaseVolume:    base.Volume,
 		EmptyVolume:   emptyVol,
 	}
+	var marks []bool      // single actor: whether it exclusively blocked
+	var without []float64 // shared expansion: every |T^{/i}|
+	if len(actors) == 1 {
+		prov.Engine = EngineSingle
+		marks = make([]bool, 1)
+		sp = rec.StartSpan("reach.base_tube")
+		res.BaseVolume = reach.ComputeScratch(m, obs.CollideRecording(marks), ego, e.cfg, scr).Volume
+		sp.End()
+	} else {
+		prov.Engine = EngineShared
+		sh := e.expand(rec, m, obs, ego, scr, ws, &prov)
+		res.BaseVolume, without = sh.BaseVolume, sh.WithoutVolume
+	}
+
 	if emptyVol <= 0 {
 		// The ego has no escape routes even in an empty world (off-road or
 		// wedged); actors cannot be responsible, so STI is defined as zero.
 		return res, prov
 	}
-	res.Combined = snap(clamp01((emptyVol - base.Volume) / emptyVol))
+	res.Combined = snap(clamp01((emptyVol - res.BaseVolume) / emptyVol))
 
 	// Dead-band certificate: |T| ≤ |T^{/i}| ≤ |T^∅| (up to the dedup
 	// jitter the dead band exists to absorb), so every per-actor ratio is
 	// bounded by the combined ratio. A combined STI snapped to zero
 	// certifies every per-actor STI snaps to zero too — report |T| for the
-	// without-volumes (correct to within deadBand·|T^∅|) and skip all N
-	// counterfactual tubes.
+	// without-volumes (correct to within deadBand·|T^∅|).
 	if res.Combined == 0 {
 		telElided.Add(int64(len(actors)))
-		prov.ElidedActors += len(actors)
+		prov.ElidedActors = len(actors)
 		for i := range actors {
-			res.WithoutVolume[i] = base.Volume
+			res.WithoutVolume[i] = res.BaseVolume
 		}
 		return res, prov
 	}
-
-	// work collects the actors whose counterfactual actually needs a tube.
-	work := make([]int, 0, len(actors))
-	for i := range actors {
-		switch {
-		case !marks[i]:
-			// Never an exclusive blocker: T^{/i} = T, STI exactly zero.
-			res.WithoutVolume[i] = base.Volume
-		case len(actors) == 1:
-			// Removing the only actor leaves the empty world: T^{/i} = T^∅,
-			// with the same cached |T^∅| the combined ratio uses.
-			res.WithoutVolume[i] = emptyVol
-			res.PerActor[i] = res.Combined
-		default:
-			work = append(work, i)
+	if len(actors) == 1 {
+		// Neither single-actor case needs a counterfactual tube. An actor
+		// that never exclusively blocked a candidate never changed a
+		// collision verdict, so the deterministic expansion without it is
+		// the base one: T^{/0} = T exactly. Otherwise removing the only
+		// actor leaves the empty world: T^{/0} = T^∅, with the same cached
+		// |T^∅| the combined ratio uses.
+		telElided.Inc()
+		prov.ElidedActors = 1
+		if marks[0] {
+			res.WithoutVolume[0] = emptyVol
+			res.PerActor[0] = res.Combined
+		} else {
+			res.WithoutVolume[0] = res.BaseVolume
 		}
-	}
-	// Elision accounting is additive on purpose: a single evaluation can
-	// elide in more than one place (dead-band certificate above, the marks
-	// pass here), and Provenance must agree with the telElided counter
-	// delta rather than reporting only the last writer.
-	telElided.Add(int64(len(actors) - len(work)))
-	prov.ElidedActors += len(actors) - len(work)
-	if len(work) == 0 {
 		return res, prov
 	}
-
-	// Fan the remaining independent |T^{/i}| counterfactuals out over a
-	// bounded worker pool. Each index is claimed atomically and written to
-	// its own slot of the pre-sized result slices, so the output is
-	// identical to the serial loop regardless of scheduling.
-	sp = rec.StartSpan("reach.counterfactual_tubes")
-	e.fanOut(work, scr, func(i int, ws *reach.Scratch) {
-		t := telActorTubeSeconds.Start()
-		wo := reach.ComputeScratch(m, obs.CollideWithout(i), ego, e.cfg, ws)
-		t.Stop()
-		res.WithoutVolume[i] = wo.Volume
-		res.PerActor[i] = snap(clamp01((wo.Volume - base.Volume) / emptyVol))
-	})
-	sp.Annotate("tubes", len(work)).End()
+	for i, wo := range without {
+		res.WithoutVolume[i] = wo
+		res.PerActor[i] = snap(clamp01((wo - res.BaseVolume) / emptyVol))
+	}
 	return res, prov
 }
 
-// fanOut runs fn(i, scratch) for every index in work over the evaluator's
-// bounded worker pool, serially (reusing the caller's scratch) when the
-// bound or the workload is 1. fn must confine its writes to index-owned
-// slots; the output is then identical regardless of scheduling.
-func (e *Evaluator) fanOut(work []int, scr *reach.Scratch, fn func(i int, ws *reach.Scratch)) {
-	workers := e.workers
-	if workers > len(work) {
-		workers = len(work)
-	}
-	telParallelWorkers.Set(float64(workers))
-	if workers <= 1 {
-		for _, i := range work {
-			fn(i, scr)
-		}
-		return
-	}
-	var nextIdx atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := e.takeScratch()
-			defer e.putScratch(ws)
-			for {
-				k := int(nextIdx.Add(1)) - 1
-				if k >= len(work) {
-					return
-				}
-				fn(work[k], ws)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// evaluateShared is Evaluate on the shared-expansion engine: one masked
-// expansion (reach.ComputeCounterfactuals) yields |T| and every per-actor
-// |T^{/i}| at once. The masks are segmented, so every actor in the scene —
-// not just the first 63 — is carried by that single expansion; the
-// spillover fan-out the old single-word engine needed is gone. The
-// observable Result is bitwise-identical to the legacy path, including its
-// reporting conventions: the cached |T^∅| backs every ratio, every
-// per-actor value passes through the same snap(clamp01(·)) pipeline, and
-// the dead-band certificate reports |T| for the without-volumes it skips.
-func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch, ws *reach.WarmState) (Result, Provenance) {
-	defer telSharedSeconds.Start().Stop()
-	telSharedEvals.Inc()
-	prov := Provenance{Engine: EngineShared}
-	obs := reach.BuildObstacles(actors, trajs, e.cfg)
-	sp := rec.StartSpan("reach.empty_tube")
-	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
-	sp.Annotate("cache_state", cacheState).End()
-	prov.CacheState = cacheState
+// expand runs the shared expansion — warm-started when ws is non-nil —
+// inside a "reach.shared_expansion" span annotated with its shape, and
+// records the outcome in prov.
+func (e *Evaluator) expand(rec *trace.Recorder, m roadmap.Map, obs *reach.Obstacles, ego vehicle.State, scr *reach.Scratch, ws *reach.WarmState, prov *Provenance) reach.SharedTubes {
+	sp := rec.StartSpan("reach.shared_expansion")
 	var sh reach.SharedTubes
 	if ws != nil {
 		var stats reach.WarmStats
-		sh, stats = reach.ComputeCounterfactualsWarmTraced(rec, m, obs, ego, e.cfg, scr, ws)
-		prov.WarmHit = stats.Hit
-		prov.WarmReused = stats.Reused
-		prov.WarmInvalidated = stats.Invalidated
+		sh, stats = reach.ComputeCounterfactualsWarm(m, obs, ego, e.cfg, scr, ws)
+		prov.WarmHit, prov.WarmReused, prov.WarmInvalidated = stats.Hit, stats.Reused, stats.Invalidated
 		noteWarmOutcome(stats.Hit)
 	} else {
-		sh = reach.ComputeCounterfactualsTraced(rec, m, obs, ego, e.cfg, scr)
+		sh = reach.ComputeCounterfactuals(m, obs, ego, e.cfg, scr)
 	}
-	telSharedMaskWidth.Observe(float64(sh.Represented))
-	telSharedMaskWords.Observe(float64(sh.MaskWords))
-	prov.MaskWidth = sh.Represented
-	prov.MaskWords = sh.MaskWords
-
-	res := Result{
-		PerActor:      make([]float64, len(actors)),
-		WithoutVolume: make([]float64, len(actors)),
-		BaseVolume:    sh.BaseVolume,
-		EmptyVolume:   emptyVol,
-	}
-	if emptyVol <= 0 {
-		// No escape routes even in an empty world; STI is defined as zero.
-		return res, prov
-	}
-	res.Combined = snap(clamp01((emptyVol - sh.BaseVolume) / emptyVol))
-
-	// Dead-band certificate (see Evaluate): a combined STI snapped to zero
-	// certifies every per-actor STI snaps to zero. Match the legacy
-	// reporting exactly — |T| stands in for the without-volumes.
-	if res.Combined == 0 {
-		telElided.Add(int64(len(actors)))
-		prov.ElidedActors += len(actors)
-		for i := range actors {
-			res.WithoutVolume[i] = sh.BaseVolume
+	prov.MaskWidth, prov.MaskWords = obs.NumActors(), sh.MaskWords
+	telSharedMaskWidth.Observe(float64(prov.MaskWidth))
+	telSharedMaskWords.Observe(float64(prov.MaskWords))
+	if sp != nil {
+		sp.Annotate("states", sh.States).
+			Annotate("mask_width", prov.MaskWidth).
+			Annotate("mask_words", prov.MaskWords)
+		if ws != nil {
+			sp.Annotate("warm_hit", prov.WarmHit).
+				Annotate("warm_reused", prov.WarmReused).
+				Annotate("warm_invalidated", prov.WarmInvalidated)
 		}
-		return res, prov
+		sp.End()
 	}
-
-	for i := range actors {
-		wo := sh.WithoutVolume[i]
-		res.WithoutVolume[i] = wo
-		res.PerActor[i] = snap(clamp01((wo - sh.BaseVolume) / emptyVol))
-	}
-	return res, prov
+	return sh
 }
 
 // deadBand absorbs the bounded quantisation error of the cached empty-world
@@ -416,8 +267,9 @@ func snap(v float64) float64 {
 }
 
 // EvaluateCombined computes only STI^(combined), skipping the per-actor
-// counterfactuals. This is the fast path used inside the SMC reward loop,
-// costing two reach-tube computations instead of N+2.
+// counterfactuals. This is the fast path used inside the SMC reward loop:
+// two plain reach tubes (one on an empty-volume cache hit), no shared
+// expansion.
 func (e *Evaluator) EvaluateCombined(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) float64 {
 	defer telCombinedSeconds.Start().Stop()
 	telEvaluations.Inc()

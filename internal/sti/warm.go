@@ -11,7 +11,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-// WarmState carries the previous tick's shared-expansion state for one
+// WarmState carries the previous tick's shared expansion state for one
 // session stream. It is owned by exactly one caller at a time: EvaluateWarm
 // claims it with a compare-and-swap for the duration of the call, and a
 // concurrent call that loses the race scores cold rather than share the
@@ -46,7 +46,7 @@ func (w *WarmState) TryReset() bool {
 }
 
 // warmHits/warmTotal feed the sti.warm.hit_ratio gauge: the fraction of
-// warm-capable evaluations (EvaluateWarm with a usable WarmState and a
+// warm evaluations (EvaluateWarm with a claimable WarmState and a
 // multi-actor scene) whose previous-tick state actually validated.
 var (
 	warmHits  atomic.Int64
@@ -66,9 +66,8 @@ func noteWarmOutcome(hit bool) {
 // changed since that tick are reused instead of recomputed. The Result is
 // bitwise-identical to Evaluate on the same scene — warm start substitutes
 // memoised values only where exact revalidation proves them unchanged
-// (see reach.ComputeCounterfactualsWarm). ws may be nil, and the evaluator
-// may have been built without Options.WarmStart; both degrade to a plain
-// cold evaluation.
+// (see reach.ComputeCounterfactualsWarm). ws may be nil, which scores cold;
+// single-actor scenes, which take no shared expansion, always score cold.
 func (e *Evaluator) EvaluateWarm(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *WarmState) (Result, Provenance) {
 	return e.evaluateWarm(nil, m, ego, actors, trajs, ws)
 }
@@ -80,23 +79,12 @@ func (e *Evaluator) EvaluateWarmTraced(ctx context.Context, m roadmap.Map, ego v
 }
 
 func (e *Evaluator) evaluateWarm(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *WarmState) (Result, Provenance) {
-	// Warm start only exists for the shared engine on multi-actor scenes
-	// (see Options.WarmStart); everything else is a plain evaluation.
-	if ws == nil || !e.warm || len(actors) <= 1 {
-		return e.evaluate(rec, m, ego, actors, trajs)
-	}
 	// Single-owner gate: a WarmState must never be mutated by two
 	// evaluations at once. Losing the CAS means another call is mid-tick on
 	// this state — score cold rather than block the request path.
-	if !ws.busy.CompareAndSwap(false, true) {
-		return e.evaluate(rec, m, ego, actors, trajs)
+	if ws == nil || len(actors) <= 1 || !ws.busy.CompareAndSwap(false, true) {
+		return e.evaluate(rec, m, ego, actors, trajs, nil)
 	}
 	defer ws.busy.Store(false)
-
-	defer telEvalSeconds.Start().Stop()
-	telEvaluations.Inc()
-	telActorsPerEval.Observe(float64(len(actors)))
-	scr := e.takeScratch()
-	defer e.putScratch(scr)
-	return e.evaluateShared(rec, m, ego, actors, trajs, scr, &ws.rs)
+	return e.evaluate(rec, m, ego, actors, trajs, &ws.rs)
 }

@@ -13,10 +13,11 @@ go build ./...
 # 1-CPU container, past go test's default 10 min per-package timeout.
 go test -race -timeout 45m ./...
 
-# Differential suite: the shared-expansion counterfactual engine must match
-# the legacy per-actor oracle bit-for-bit — including the 64-130-actor
-# segmented-mask scenes and the FuzzSharedVsLegacy seed corpus — and the
-# warm-started session engine must match the cold path bit-for-bit across
+# Differential suite: the shared expansion must match per-world reach
+# tubes (internal/reach) and the per-actor oracle of
+# internal/sti/oracle_test.go (internal/sti) bit-for-bit — including the
+# 64-130-actor segmented-mask scenes and the FuzzSharedVsLegacy seed
+# corpus — and warm starts must match the cold path bit-for-bit across
 # recorded session traces and the FuzzWarmVsCold perturbation corpus
 # (already part of ./... above, but run explicitly so a perf-motivated
 # edit cannot silently drop either proof).
