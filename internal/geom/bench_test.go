@@ -32,11 +32,3 @@ func BenchmarkConvexHull(b *testing.B) {
 		ConvexHull(pts)
 	}
 }
-
-func BenchmarkGridMark(b *testing.B) {
-	g := NewOccupancyGrid(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Mark(V(float64(i%100), float64(i%37)))
-	}
-}

@@ -46,25 +46,3 @@ func FuzzBoxIntersectsSymmetry(f *testing.F) {
 		}
 	})
 }
-
-func FuzzGridMarkOccupied(f *testing.F) {
-	f.Add(0.5, 0.5, 1.0)
-	f.Add(-3.2, 7.7, 0.25)
-	f.Fuzz(func(t *testing.T, x, y, cell float64) {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(cell) ||
-			math.IsInf(x, 0) || math.IsInf(y, 0) || math.IsInf(cell, 0) {
-			t.Skip()
-		}
-		if math.Abs(x) > 1e6 || math.Abs(y) > 1e6 || cell <= 1e-3 || cell > 1e3 {
-			t.Skip()
-		}
-		g := NewOccupancyGrid(cell)
-		g.Mark(V(x, y))
-		if !g.Occupied(V(x, y)) {
-			t.Fatalf("marked cell not occupied: (%v, %v) cell %v", x, y, cell)
-		}
-		if g.Count() != 1 {
-			t.Fatalf("count = %d after one mark", g.Count())
-		}
-	})
-}

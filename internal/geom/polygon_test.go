@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -142,82 +141,5 @@ func TestSegmentsIntersect(t *testing.T) {
 				t.Errorf("SegmentsIntersect (swapped) = %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestGridMarkCount(t *testing.T) {
-	g := NewOccupancyGrid(1)
-	if !g.Mark(V(0.5, 0.5)) {
-		t.Error("first mark should be new")
-	}
-	if g.Mark(V(0.9, 0.1)) {
-		t.Error("same-cell mark should not be new")
-	}
-	if !g.Mark(V(1.5, 0.5)) {
-		t.Error("adjacent cell should be new")
-	}
-	if got := g.Count(); got != 2 {
-		t.Errorf("Count = %d, want 2", got)
-	}
-	if got := g.Area(); got != 2 {
-		t.Errorf("Area = %v, want 2", got)
-	}
-	if !g.Occupied(V(0.2, 0.7)) {
-		t.Error("cell should be occupied")
-	}
-	g.Reset()
-	if g.Count() != 0 {
-		t.Error("Reset should clear cells")
-	}
-}
-
-func TestGridNegativeCoordinates(t *testing.T) {
-	g := NewOccupancyGrid(1)
-	g.Mark(V(-0.5, -0.5))
-	g.Mark(V(0.5, 0.5))
-	if g.Count() != 2 {
-		t.Errorf("cells at ±0.5 must differ; Count = %d", g.Count())
-	}
-	// -0.5 and -0.9 share the [-1, 0) cell.
-	if g.Mark(V(-0.9, -0.9)) {
-		t.Error("(-0.9,-0.9) should share the (-1..0) cell with (-0.5,-0.5)")
-	}
-}
-
-func TestGridInvalidCellSize(t *testing.T) {
-	g := NewOccupancyGrid(-1)
-	if g.CellSize() != 1 {
-		t.Errorf("invalid cell size should default to 1, got %v", g.CellSize())
-	}
-}
-
-func TestGridAreaScalesWithCellSize(t *testing.T) {
-	g := NewOccupancyGrid(0.5)
-	g.Mark(V(0.1, 0.1))
-	if got := g.Area(); !almostEq(got, 0.25, 1e-12) {
-		t.Errorf("Area = %v, want 0.25", got)
-	}
-}
-
-func TestGridDenseCoverage(t *testing.T) {
-	g := NewOccupancyGrid(1)
-	for x := 0.0; x < 10; x += 0.25 {
-		for y := 0.0; y < 10; y += 0.25 {
-			g.Mark(V(x, y))
-		}
-	}
-	if got := g.Count(); got != 100 {
-		t.Errorf("dense 10x10 coverage = %d cells, want 100", got)
-	}
-}
-
-func TestFloorDivMatchesMathFloor(t *testing.T) {
-	for _, x := range []float64{-5.5, -1, -0.1, 0, 0.1, 1, 2.9, 1e5} {
-		for _, c := range []float64{0.5, 1, 2.5} {
-			want := math.Floor(x / c)
-			if got := floorDiv(x, c); got != want {
-				t.Errorf("floorDiv(%v,%v) = %v, want %v", x, c, got, want)
-			}
-		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package geom provides the 2-D geometric primitives used throughout the
 // iPrism reproduction: vectors, poses, oriented bounding boxes with
-// separating-axis overlap tests, polygons, and occupancy grids for
-// reach-tube volume estimation.
+// separating-axis overlap tests, and polygons.
 package geom
 
 import (

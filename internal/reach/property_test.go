@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/actor"
 	"repro/internal/geom"
+	"repro/internal/roadmap"
+	"repro/internal/scene"
 	"repro/internal/vehicle"
 )
 
@@ -64,6 +66,12 @@ func TestTubeTranslationInvariance(t *testing.T) {
 	// Occupancy-grid alignment causes at most a minor difference.
 	if diff := a.Volume - b.Volume; diff > 5 || diff < -5 {
 		t.Errorf("translation changed volume: %v vs %v", a.Volume, b.Volume)
+	}
+	// Translated to the largest coordinate a scene may carry, the dedup and
+	// cell indices must still be exact.
+	far := roadmap.MustStraightRoad(2, 3.5, scene.MaxCoord-50, scene.MaxCoord+500)
+	if c := Compute(far, nil, egoState(scene.MaxCoord, 1.75, 10), cfg); a.Volume-c.Volume > 5 || c.Volume-a.Volume > 5 {
+		t.Errorf("translation to x = %g changed volume: %v vs %v", scene.MaxCoord, a.Volume, c.Volume)
 	}
 }
 

@@ -186,118 +186,21 @@ func (c Config) key(s vehicle.State) stateKey {
 	}
 }
 
-// keySet is an open-addressed hash set of stateKeys. It replaces a Go map
-// in the expansion loop: insertion is a single linear-probe pass (the map
-// needed a lookup followed by a store), clearing is a generation bump
-// instead of an O(capacity) wipe, and the hash is a fixed multiply-mix with
-// no runtime hashing machinery. Exactness is preserved — membership is
-// decided by full key equality, the hash only picks the probe start.
-type keySet struct {
-	keys []stateKey
-	gen  []uint32
-	cur  uint32
-	n    int
-}
-
-func newKeySet() *keySet { return &keySet{cur: 1} }
-
-// contains reports membership without modifying the set.
-func (ks *keySet) contains(k stateKey) bool {
-	if len(ks.keys) == 0 {
-		return false
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return false
-		}
-		if ks.keys[i] == k {
-			return true
-		}
-	}
-}
-
-// reset empties the set in O(1) by advancing the generation stamp.
-func (ks *keySet) reset() {
-	ks.cur++
-	ks.n = 0
-	if ks.cur == 0 { // stamp wrapped: old entries would look live again
-		clear(ks.gen)
-		ks.cur = 1
-	}
-}
-
-func hashKey(k stateKey) uint64 {
-	h := uint64(uint32(k.ix)) | uint64(uint32(k.iy))<<32
-	h ^= (uint64(uint32(k.ih)) | uint64(uint32(k.iv))<<32) * 0x9e3779b97f4a7c15
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-// insert adds k and reports whether it was absent. The table grows before
-// load factor reaches 1/2.
-func (ks *keySet) insert(k stateKey) bool {
-	if 2*(ks.n+1) > len(ks.keys) {
-		ks.grow()
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			ks.keys[i] = k
-			ks.gen[i] = ks.cur
-			ks.n++
-			return true
-		}
-		if ks.keys[i] == k {
-			return false
-		}
-	}
-}
-
-func (ks *keySet) grow() {
-	capOld := len(ks.keys)
-	capNew := 1024
-	if capOld > 0 {
-		capNew = capOld * 2
-	}
-	oldKeys, oldGen := ks.keys, ks.gen
-	ks.keys = make([]stateKey, capNew)
-	ks.gen = make([]uint32, capNew)
-	mask := uint64(capNew - 1)
-	for i, g := range oldGen {
-		if g != ks.cur {
-			continue
-		}
-		k := oldKeys[i]
-		for j := hashKey(k) & mask; ; j = (j + 1) & mask {
-			if ks.gen[j] != ks.cur {
-				ks.keys[j] = k
-				ks.gen[j] = ks.cur
-				break
-			}
-		}
-	}
-}
-
 // Scratch holds the reusable allocations of a reach-tube computation: the
-// frontier/next state slices, the per-slice dedup map and the occupancy
+// frontier/next state slices, the per-slice dedup table and the occupancy
 // grid. A Scratch amortises the GC churn of the tube computations of an STI
 // evaluation; sti.Evaluator pools them. A Scratch must not be used by two
-// computations concurrently. The zero value is not usable;
-// construct with NewScratch.
+// computations concurrently. Construct with NewScratch.
 type Scratch struct {
 	frontier []vehicle.State
 	next     []vehicle.State
-	visited  *keySet
-	grid     *geom.OccupancyGrid
+	claimed  maskSet // per-slice ε-dedup claims, keyed by dedup key
+	cells    maskSet // occupancy grid, keyed by cellKey
 
 	// Shared-expansion working memory (ComputeCounterfactuals); allocated
 	// lazily on first shared use so tube-only scratches stay slim.
 	mfrontier []maskedState
 	mnext     []maskedState
-	claimed   *maskedKeySet
-	mgrid     *geom.MaskGrid
 	wvol      []int   // per-world marked-cell counts
 	wslice    []int   // per-world accepted states in the current slice
 	mactive   []int32 // actors surviving the per-slice broad phase
@@ -309,10 +212,9 @@ type Scratch struct {
 	sfmasks  []uint64
 	snstates []vehicle.State
 	snmasks  []uint64
-	sclaimed *segKeySet
 	scap     []uint64 // per-slice MaxStates cap mask
 	sposs    []uint64 // per-candidate possible-world mask
-	snew     []uint64 // MarkWords newly-set-bits buffer
+	snew     []uint64 // orWordsAt newly-set-bits buffer
 }
 
 // NewScratch returns an empty scratch ready for ComputeScratch.
@@ -320,47 +222,19 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		frontier: make([]vehicle.State, 0, 64),
 		next:     make([]vehicle.State, 0, 64),
-		visited:  newKeySet(),
-		grid:     geom.NewOccupancyGrid(1),
-	}
-}
-
-// reset readies the scratch for a computation at the given grid resolution,
-// retaining capacity wherever the resolution allows it.
-func (s *Scratch) reset(cellSize float64) {
-	s.frontier = s.frontier[:0]
-	s.next = s.next[:0]
-	s.visited.reset()
-	if s.grid.CellSize() != cellSize {
-		s.grid = geom.NewOccupancyGrid(cellSize)
-	} else {
-		s.grid.Reset()
 	}
 }
 
 // resetShared readies the shared expansion working memory for a
 // ComputeCounterfactuals call with numWorlds counterfactual worlds packed
 // into `words` 64-bit mask words (1 selects the single-word loop).
-func (s *Scratch) resetShared(cellSize float64, numWorlds, words int) {
-	if words == 1 {
-		if s.claimed == nil {
-			s.claimed = newMaskedKeySet()
-		}
-		s.claimed.reset()
-	} else {
-		if s.sclaimed == nil {
-			s.sclaimed = newSegKeySet(words)
-		}
-		s.sclaimed.reset(words)
+func (s *Scratch) resetShared(numWorlds, words int) {
+	if words > 1 {
 		s.scap = sizeU64(s.scap, words)
 		s.sposs = sizeU64(s.sposs, words)
 		s.snew = sizeU64(s.snew, words)
 	}
-	if s.mgrid == nil || s.mgrid.CellSize() != cellSize || s.mgrid.Words() != words {
-		s.mgrid = geom.NewMaskGridWords(cellSize, words)
-	} else {
-		s.mgrid.Reset()
-	}
+	s.cells.reset(words)
 	if cap(s.wvol) < numWorlds {
 		s.wvol = make([]int, numWorlds)
 		s.wslice = make([]int, numWorlds)
@@ -398,8 +272,8 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 	if scr == nil {
 		scr = NewScratch()
 	}
-	scr.reset(cfg.CellSize)
-	grid := scr.grid
+	cells := &scr.cells
+	cells.reset(1)
 	tube := Tube{SliceStates: make([]int, numSlices)}
 	// Resolve the prepared-footprint fast path once per tube; maps outside
 	// the roadmap package fall back to DrivableBox.
@@ -428,13 +302,13 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 	// consideration.
 	pb := egoPb
 	path := make([]pathState, cfg.SubSteps)
-	frontier := append(scr.frontier, ego)
-	visited := scr.visited
+	frontier := append(scr.frontier[:0], ego)
+	claimed := &scr.claimed
 	next := scr.next
 	propagations, pruned := 0, 0
 
 	for slice := 0; slice < numSlices; slice++ {
-		visited.reset()
+		claimed.reset(1)
 		next = next[:0]
 	expand:
 		for _, s := range frontier {
@@ -453,15 +327,16 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 				s2, nsub := cfg.integrate(s, sin0, cos0, u, tans[ui], path)
 				propagations++
 				k := cfg.key(s2)
-				if visited.contains(k) {
+				seen, slot := claimed.probe(k)
+				if seen != 0 {
 					continue
 				}
 				if !cfg.pathOK(m, pm, collide, path[:nsub], slice, &pb) {
 					pruned++
 					continue
 				}
-				visited.insert(k)
-				grid.Mark(s2.Pos)
+				claimed.orAt(slot, k, 1)
+				cells.orAt(-1, cellKey(s2.Pos, cfg.CellSize), 1)
 				if cfg.RecordPoints {
 					tube.Points = append(tube.Points, s2.Pos)
 				}
@@ -480,7 +355,7 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 	}
 	// Hand the (possibly re-grown) slices back for the next reuse.
 	scr.frontier, scr.next = frontier, next
-	tube.Volume = grid.Area()
+	tube.Volume = float64(cells.n) * cfg.CellSize * cfg.CellSize
 	telStates.Add(int64(tube.States))
 	telPropagations.Add(int64(propagations))
 	telPruned.Add(int64(pruned))

@@ -44,255 +44,6 @@ type maskedState struct {
 	w  uint64
 }
 
-// maskedKeySet maps dedup keys to the mask of worlds that have claimed the
-// key in the current slice. It is the per-world visited set of Algorithm 1,
-// collapsed: world w treats key k as visited iff bit w of k's mask is set.
-// Same open-addressing discipline as keySet (exact key equality, generation
-// stamped O(1) reset).
-type maskedKeySet struct {
-	keys  []stateKey
-	masks []uint64
-	gen   []uint32
-	cur   uint32
-	n     int
-}
-
-func newMaskedKeySet() *maskedKeySet { return &maskedKeySet{cur: 1} }
-
-func (ks *maskedKeySet) reset() {
-	ks.cur++
-	ks.n = 0
-	if ks.cur == 0 { // stamp wrapped: old entries would look live again
-		clear(ks.gen)
-		ks.cur = 1
-	}
-}
-
-// probe returns the claimed-world mask for k plus the slot the probe ended
-// at (k's slot if present, else the first empty slot of its chain), so the
-// candidate's later claim needn't re-walk the chain. The slot stays valid
-// until the next insertion; -1 means the table is unallocated.
-func (ks *maskedKeySet) probe(k stateKey) (bits uint64, slot int) {
-	if len(ks.keys) == 0 {
-		return 0, -1
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return 0, int(i)
-		}
-		if ks.keys[i] == k {
-			return ks.masks[i], int(i)
-		}
-	}
-}
-
-// orAt claims the worlds in bits for k at the slot probe returned. A stale
-// or unknown slot (table grown or unallocated since) falls back to a fresh
-// probe; claiming into an empty slot defers to or when the insertion would
-// breach the load factor.
-func (ks *maskedKeySet) orAt(slot int, k stateKey, bits uint64) {
-	if slot >= 0 && slot < len(ks.keys) {
-		if ks.gen[slot] == ks.cur {
-			if ks.keys[slot] == k {
-				ks.masks[slot] |= bits
-				return
-			}
-		} else if 2*(ks.n+1) <= len(ks.keys) {
-			ks.keys[slot] = k
-			ks.masks[slot] = bits
-			ks.gen[slot] = ks.cur
-			ks.n++
-			return
-		}
-	}
-	ks.or(k, bits)
-}
-
-// or claims the worlds in bits for key k.
-func (ks *maskedKeySet) or(k stateKey, bits uint64) {
-	if 2*(ks.n+1) > len(ks.keys) {
-		ks.grow()
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			ks.keys[i] = k
-			ks.masks[i] = bits
-			ks.gen[i] = ks.cur
-			ks.n++
-			return
-		}
-		if ks.keys[i] == k {
-			ks.masks[i] |= bits
-			return
-		}
-	}
-}
-
-func (ks *maskedKeySet) grow() {
-	capOld := len(ks.keys)
-	capNew := 1024
-	if capOld > 0 {
-		capNew = capOld * 2
-	}
-	oldKeys, oldMasks, oldGen := ks.keys, ks.masks, ks.gen
-	ks.keys = make([]stateKey, capNew)
-	ks.masks = make([]uint64, capNew)
-	ks.gen = make([]uint32, capNew)
-	mask := uint64(capNew - 1)
-	for i, g := range oldGen {
-		if g != ks.cur {
-			continue
-		}
-		k := oldKeys[i]
-		for j := hashKey(k) & mask; ; j = (j + 1) & mask {
-			if ks.gen[j] != ks.cur {
-				ks.keys[j] = k
-				ks.masks[j] = oldMasks[i]
-				ks.gen[j] = ks.cur
-				break
-			}
-		}
-	}
-}
-
-// segKeySet is maskedKeySet with segmented masks: each slot carries `words`
-// consecutive uint64s, so one claimed-key lookup covers every world of an
-// arbitrarily wide scene. Bit w of word w/64 plays exactly the role bit w
-// plays in the single-word set.
-type segKeySet struct {
-	words int
-	keys  []stateKey
-	masks []uint64 // stride `words` per slot
-	gen   []uint32
-	cur   uint32
-	n     int
-}
-
-func newSegKeySet(words int) *segKeySet { return &segKeySet{words: words, cur: 1} }
-
-// reset readies the set for a new slice with `words`-wide masks. Changing
-// the width drops the table (the stride no longer matches), which only
-// happens when consecutive scenes differ in actor-count word boundaries.
-func (ks *segKeySet) reset(words int) {
-	if ks.words != words {
-		ks.words = words
-		ks.keys, ks.masks, ks.gen = nil, nil, nil
-		ks.n = 0
-		ks.cur = 1
-		return
-	}
-	ks.cur++
-	ks.n = 0
-	if ks.cur == 0 { // stamp wrapped: old entries would look live again
-		clear(ks.gen)
-		ks.cur = 1
-	}
-}
-
-// andNotProbe strips the worlds already claimed for k out of possible (in
-// place) — word w exactly as maskedKeySet treats its single word,
-// possible &^= claimed(k) — and reports whether any world survives. It
-// also returns the probe's resting slot, with the same contract as
-// maskedKeySet.probe: k's slot if present, else the first empty slot of
-// its chain, valid until the next insertion.
-func (ks *segKeySet) andNotProbe(k stateKey, possible []uint64) (bool, int) {
-	if len(ks.keys) == 0 {
-		return anyNonzero(possible), -1
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return anyNonzero(possible), int(i)
-		}
-		if ks.keys[i] == k {
-			base := int(i) * ks.words
-			any := false
-			for w := range possible {
-				possible[w] &^= ks.masks[base+w]
-				any = any || possible[w] != 0
-			}
-			return any, int(i)
-		}
-	}
-}
-
-// orAt claims the worlds in bits for k at the slot andNotProbe returned,
-// falling back to a fresh probe when the slot is stale or the insertion
-// would breach the load factor.
-func (ks *segKeySet) orAt(slot int, k stateKey, bits []uint64) {
-	if slot >= 0 && slot < len(ks.keys) {
-		if ks.gen[slot] == ks.cur {
-			if ks.keys[slot] == k {
-				base := slot * ks.words
-				for w := range bits {
-					ks.masks[base+w] |= bits[w]
-				}
-				return
-			}
-		} else if 2*(ks.n+1) <= len(ks.keys) {
-			ks.keys[slot] = k
-			copy(ks.masks[slot*ks.words:slot*ks.words+ks.words], bits)
-			ks.gen[slot] = ks.cur
-			ks.n++
-			return
-		}
-	}
-	ks.or(k, bits)
-}
-
-// or claims the worlds in bits (len words) for key k.
-func (ks *segKeySet) or(k stateKey, bits []uint64) {
-	if 2*(ks.n+1) > len(ks.keys) {
-		ks.grow()
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			ks.keys[i] = k
-			copy(ks.masks[int(i)*ks.words:int(i)*ks.words+ks.words], bits)
-			ks.gen[i] = ks.cur
-			ks.n++
-			return
-		}
-		if ks.keys[i] == k {
-			base := int(i) * ks.words
-			for w := range bits {
-				ks.masks[base+w] |= bits[w]
-			}
-			return
-		}
-	}
-}
-
-func (ks *segKeySet) grow() {
-	capOld := len(ks.keys)
-	capNew := 1024
-	if capOld > 0 {
-		capNew = capOld * 2
-	}
-	oldKeys, oldMasks, oldGen := ks.keys, ks.masks, ks.gen
-	ks.keys = make([]stateKey, capNew)
-	ks.masks = make([]uint64, capNew*ks.words)
-	ks.gen = make([]uint32, capNew)
-	mask := uint64(capNew - 1)
-	for i, g := range oldGen {
-		if g != ks.cur {
-			continue
-		}
-		k := oldKeys[i]
-		for j := hashKey(k) & mask; ; j = (j + 1) & mask {
-			if ks.gen[j] != ks.cur {
-				ks.keys[j] = k
-				copy(ks.masks[int(j)*ks.words:int(j)*ks.words+ks.words], oldMasks[i*ks.words:i*ks.words+ks.words])
-				ks.gen[j] = ks.cur
-				break
-			}
-		}
-	}
-}
-
 // anyNonzero reports whether any word of mask has a bit set.
 func anyNonzero(mask []uint64) bool {
 	for _, v := range mask {
@@ -393,9 +144,9 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 }
 
 // tally turns the per-world marked-cell counts into volumes — the same
-// expression OccupancyGrid.Area evaluates, so each world's volume is
-// bitwise what its own ComputeScratch tube reports — and flushes the
-// expansion's counters.
+// cell count × CellSize² expression ComputeScratch evaluates, so each
+// world's volume is bitwise what its own ComputeScratch tube reports — and
+// flushes the expansion's counters.
 func (res *SharedTubes) tally(volCount []int, cellSize float64, states, propagations, pruned int) {
 	res.BaseVolume = float64(volCount[0]) * cellSize * cellSize
 	for i := range res.WithoutVolume {
@@ -566,9 +317,9 @@ func (x *expander) sweepSeg(path []pathState, slice int, possible []uint64) bool
 // identically, so the volumes are bitwise the cold expansion's.
 func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds int) {
 	allMask := ^uint64(0) >> (64 - uint(numWorlds))
-	scr.resetShared(cfg.CellSize, numWorlds, 1)
-	grid := scr.mgrid
-	claimed := scr.claimed
+	scr.resetShared(numWorlds, 1)
+	cells := &scr.cells
+	claimed := &scr.claimed
 	volCount := scr.wvol
 	sliceCount := scr.wslice
 	numSlices := cfg.NumSlices()
@@ -596,7 +347,7 @@ func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config
 	states, propagations, pruned := 0, 0, 0
 
 	for slice := 0; slice < numSlices && len(frontier) > 0; slice++ {
-		claimed.reset()
+		claimed.reset(1)
 		clear(sliceCount)
 		x.act = env.active(x.act, obs, &cfg, egoPb.Radius, slice)
 		env = newEnvelope()
@@ -641,7 +392,7 @@ func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config
 					continue
 				}
 				claimed.orAt(slot, k, possible)
-				for b := grid.MarkBits(s2.Pos, possible); b != 0; b &= b - 1 {
+				for b := cells.orAt(-1, cellKey(s2.Pos, cfg.CellSize), possible); b != 0; b &= b - 1 {
 					volCount[bits.TrailingZeros64(b)]++
 				}
 				for b := possible; b != 0; b &= b - 1 {
@@ -673,9 +424,9 @@ func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config
 // wide enough — so the induction argument of DESIGN.md §8 carries over per
 // word, warm or cold.
 func warmSegmented(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds, words int) {
-	scr.resetShared(cfg.CellSize, numWorlds, words)
-	grid := scr.mgrid
-	claimed := scr.sclaimed
+	scr.resetShared(numWorlds, words)
+	cells := &scr.cells
+	claimed := &scr.claimed
 	volCount := scr.wvol
 	sliceCount := scr.wslice
 	numSlices := cfg.NumSlices()
@@ -749,8 +500,8 @@ func warmSegmented(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config,
 					pruned++
 					continue
 				}
-				claimed.orAt(slot, k, possible)
-				grid.MarkWords(s2.Pos, possible, newBits)
+				claimed.orWordsAt(slot, k, possible, newBits)
+				cells.orWordsAt(-1, cellKey(s2.Pos, cfg.CellSize), possible, newBits)
 				for w := 0; w < words; w++ {
 					for b := newBits[w]; b != 0; b &= b - 1 {
 						volCount[w<<6+bits.TrailingZeros64(b)]++

@@ -216,3 +216,40 @@ func TestSharedScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// Reusing one Scratch across scenes of different mask widths must cost no
+// more allocations than reusing it across scenes of one width: a width
+// change re-strides the dedup and cell tables in place instead of
+// rebuilding them.
+func TestSharedScratchAlternatingWidthsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultConfig()
+	road := testRoad()
+	type input struct {
+		ego vehicle.State
+		obs *Obstacles
+	}
+	build := func(n int) input {
+		ego, actors := randomScene(rng, n)
+		in := input{ego, BuildObstacles(actors, actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt), cfg)}
+		if sh := ComputeCounterfactuals(road, in.obs, in.ego, cfg, nil); sh.States == 0 {
+			t.Fatalf("%d-actor scene blocks the ego at the root: its tables are never used", n)
+		}
+		return in
+	}
+	narrow, wide := build(12), build(70)
+	scr := NewScratch()
+	pairAllocs := func(a, b input) float64 {
+		return testing.AllocsPerRun(10, func() {
+			ComputeCounterfactuals(road, a.obs, a.ego, cfg, scr)
+			ComputeCounterfactuals(road, b.obs, b.ego, cfg, scr)
+		})
+	}
+	pairAllocs(narrow, wide) // grow the scratch to both scenes' capacity
+	sameNarrow, sameWide := pairAllocs(narrow, narrow), pairAllocs(wide, wide)
+	alternating := pairAllocs(narrow, wide)
+	if sameNarrow != sameWide || alternating != sameNarrow {
+		t.Errorf("allocs per pair: alternating widths %v, same width %v (1 word) / %v (2 words)",
+			alternating, sameNarrow, sameWide)
+	}
+}

@@ -26,6 +26,16 @@ import (
 // Version is the wire-format identifier this package encodes and decodes.
 const Version = "iprism.scene/v1"
 
+// MaxCoord bounds the magnitude, in metres, of every ego, actor, trajectory
+// and road coordinate a scene may carry. The reach-tube's dedup keys and
+// grid cells index positions as int32 multiples of reach.Config's PosEps
+// and CellSize, which with the default configuration stay exact only up to
+// 2³¹ × 0.5 m ≈ 1.07e9 m; past that the indices wrap, distinct states and
+// cells collide, and the tube silently shrinks towards "no threat". The
+// bound leaves three orders of magnitude of margin for finer resolutions
+// and for the tube's reach beyond its root.
+const MaxCoord = 1e6
+
 // Scene is one scoring request: a road, an ego state, and actors.
 type Scene struct {
 	Version string `json:"version"`
@@ -131,8 +141,9 @@ func DecodeReader(r io.Reader) (Scene, error) {
 // Validate checks the version tag, structural invariants and the model's
 // input domain without materialising the scene. Out-of-domain scenes fail
 // closed here rather than scoring a meaningless STI: any non-finite number,
-// an ego speed outside [0, vehicle.DefaultParams().MaxSpeed], a negative
-// actor speed, or an ego or actor heading beyond ±2π.
+// an ego, actor, trajectory or road coordinate beyond ±MaxCoord, an
+// ego speed outside [0, vehicle.DefaultParams().MaxSpeed], a negative actor
+// speed, or an ego or actor heading beyond ±2π.
 func (s Scene) Validate() error {
 	switch {
 	case s.Version == "":
@@ -155,11 +166,12 @@ func (s Scene) Validate() error {
 	default:
 		return fmt.Errorf("scene: unknown road kind %q (want straight|ring)", s.Road.Kind)
 	}
-	if r := s.Road.Straight; r != nil && !finite(r.LaneWidth, r.XMin, r.XMax) {
-		return fmt.Errorf("scene: straight road has a non-finite parameter")
+	// A straight road spans x in [XMin, XMax] and y in [0, Lanes×LaneWidth].
+	if r := s.Road.Straight; r != nil && !inBounds(r.XMin, r.XMax, r.LaneWidth*float64(r.Lanes)) {
+		return fmt.Errorf("scene: straight road has a non-finite parameter or extends beyond ±%g m", MaxCoord)
 	}
-	if r := s.Road.Ring; r != nil && !finite(r.CenterX, r.CenterY, r.InnerR, r.OuterR) {
-		return fmt.Errorf("scene: ring road has a non-finite parameter")
+	if r := s.Road.Ring; r != nil && !inBounds(r.CenterX, r.CenterY, r.InnerR, r.OuterR) {
+		return fmt.Errorf("scene: ring road has a non-finite parameter or one beyond ±%g m", MaxCoord)
 	}
 	if !finite(s.Time) {
 		return fmt.Errorf("scene: time %v is not finite", s.Time)
@@ -184,26 +196,38 @@ func (s Scene) Validate() error {
 			return fmt.Errorf("scene: actor %d has a non-finite footprint, yaw rate or trajectory_dt", i)
 		}
 		for j, ts := range a.Trajectory {
-			if !finite(ts.X, ts.Y, ts.Heading, ts.Speed) {
-				return fmt.Errorf("scene: actor %d: trajectory state %d is not finite", i, j)
+			if !finite(ts.Heading, ts.Speed) || !inBounds(ts.X, ts.Y) {
+				return fmt.Errorf("scene: actor %d: trajectory state %d is not finite or lies beyond ±%g m", i, j, MaxCoord)
 			}
 		}
 	}
 	return nil
 }
 
-// checkDomain rejects a non-finite state, a negative speed, or a heading
-// beyond ±2π.
+// checkDomain rejects a non-finite state, a position beyond ±MaxCoord,
+// a negative speed, or a heading beyond ±2π.
 func (s State) checkDomain(what string) error {
 	switch {
 	case !finite(s.X, s.Y, s.Heading, s.Speed):
 		return fmt.Errorf("scene: %s state is not finite", what)
+	case !inBounds(s.X, s.Y):
+		return fmt.Errorf("scene: %s position (%g, %g) lies beyond ±%g m", what, s.X, s.Y, MaxCoord)
 	case s.Speed < 0:
 		return fmt.Errorf("scene: %s speed %v is negative", what, s.Speed)
 	case math.Abs(s.Heading) > 2*math.Pi:
 		return fmt.Errorf("scene: %s heading %v is beyond ±2π", what, s.Heading)
 	}
 	return nil
+}
+
+// inBounds reports whether every value is finite and within ±MaxCoord.
+func inBounds(vs ...float64) bool {
+	for _, v := range vs {
+		if !(math.Abs(v) <= MaxCoord) { // also false for NaN
+			return false
+		}
+	}
+	return true
 }
 
 func finite(vs ...float64) bool {

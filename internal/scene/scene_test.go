@@ -163,6 +163,19 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// translate shifts every x coordinate of a straight-road scene by dx.
+func translate(s *Scene, dx float64) {
+	s.Ego.X += dx
+	s.Road.Straight.XMin += dx
+	s.Road.Straight.XMax += dx
+	for i := range s.Actors {
+		s.Actors[i].State.X += dx
+		for j := range s.Actors[i].Trajectory {
+			s.Actors[i].Trajectory[j].X += dx
+		}
+	}
+}
+
 func TestMaterializeRejectsInvalidRoad(t *testing.T) {
 	s := straightScene()
 	s.Road.Straight.XMax = s.Road.Straight.XMin // empty extent
@@ -200,6 +213,18 @@ func TestValidateDomain(t *testing.T) {
 		{"negative actor speed", func(s *Scene) { s.Actors[1].State.Speed = -0.1 }, false},
 		{"ego heading 1e300", func(s *Scene) { s.Ego.Heading = 1e300 }, false},
 		{"actor heading past -2π", func(s *Scene) { s.Actors[0].State.Heading = -7 }, false},
+		{"scene translated 3e9 m", func(s *Scene) { translate(s, 3e9) }, false},
+		{"ego beyond the coordinate bound", func(s *Scene) { s.Ego.X = -1.5 * MaxCoord }, false},
+		{"actor beyond the coordinate bound", func(s *Scene) { s.Actors[1].State.Y = 2 * MaxCoord }, false},
+		{"trajectory beyond the coordinate bound", func(s *Scene) {
+			s.Actors[0].Trajectory = []State{{X: 1}, {X: 2 * MaxCoord}}
+			s.Actors[0].TrajectoryDt = 0.5
+		}, false},
+		{"straight road beyond the coordinate bound", func(s *Scene) { s.Road.Straight.XMax = 3e9 }, false},
+		{"ring road beyond the coordinate bound", func(s *Scene) {
+			s.Road = Road{Kind: "ring", Ring: &RingRoad{CenterX: 2 * MaxCoord, InnerR: 5, OuterR: 9}}
+		}, false},
+		{"scene translated to the coordinate bound", func(s *Scene) { translate(s, MaxCoord-s.Road.Straight.XMax) }, true},
 		{"ego at max speed", func(s *Scene) { s.Ego.Speed = vehicle.DefaultParams().MaxSpeed }, true},
 		{"stationary ego", func(s *Scene) { s.Ego.Speed = 0 }, true},
 		{"heading exactly 2π", func(s *Scene) { s.Ego.Heading = 2 * math.Pi }, true},

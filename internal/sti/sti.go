@@ -84,7 +84,7 @@ type Evaluator struct {
 	cfg   reach.Config
 	cache *emptyCache
 	// scratch pools *reach.Scratch so the tube computations of concurrent
-	// evaluations reuse frontier slices, dedup sets and occupancy grids
+	// evaluations reuse frontier slices and dedup and occupancy tables
 	// instead of churning the GC.
 	scratch sync.Pool
 }

@@ -18,11 +18,12 @@ go test -race -timeout 45m ./...
 # internal/sti/oracle_test.go (internal/sti) bit-for-bit — including the
 # 64-130-actor segmented-mask scenes and the FuzzSharedVsLegacy seed
 # corpus — and warm starts must match the cold path bit-for-bit across
-# recorded session traces and the FuzzWarmVsCold perturbation corpus
-# (already part of ./... above, but run explicitly so a perf-motivated
-# edit cannot silently drop either proof).
-go test -race -count=1 -run 'Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold' \
-  ./internal/reach ./internal/sti ./internal/geom ./internal/server
+# recorded session traces and the FuzzWarmVsCold perturbation corpus, and
+# the dedup/occupancy table both engines share must match its Go-map
+# reference (FuzzMaskSet and the grid tests; already part of ./... above,
+# but run explicitly so a perf-motivated edit cannot silently drop a proof).
+go test -race -count=1 -run 'Shared|Grid|MaskSet|FloorDiv|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold' \
+  ./internal/reach ./internal/sti ./internal/server
 
 # Serving smoke: ephemeral-port server, a short load burst, then SIGTERM.
 # The server must answer every accepted request and exit 0 from the drain.
